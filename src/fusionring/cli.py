@@ -16,6 +16,7 @@ import sys
 from . import __version__
 from .errors import InputError, InternalLimitError
 from .fusion import fusion_table, verlinde_numeric_check
+from .groebner import check_prime
 from .resolution import (DEFAULT_PRIMES, build_complex, cokernel_vs_oracle,
                          d_squared_check, extract_presentation,
                          g2_fusion_ideal_generators, verify_presentation)
@@ -200,11 +201,10 @@ def cmd_verlinde(args) -> int:
 
 
 def _prime_list(text: str):
-    primes = tuple(int(x) for x in text.split(","))
-    for p in primes:
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            raise argparse.ArgumentTypeError(f"{p} is not prime")
-    return primes
+    try:
+        return tuple(check_prime(int(x)) for x in text.split(","))
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

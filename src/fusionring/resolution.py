@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import InputError, InternalLimitError
 from .fusion import fold_weight, in_fusion_ideal
-from .groebner import INFINITE, FieldPoly, quotient_codimension
+from .groebner import INFINITE, FieldPoly, check_prime, quotient_codimension
 from .repring import VirtualCharacter, tensor_product, to_polynomial
 from .rootdata import (RootSystem, alcove_weights, shifted_dominant_reduce)
 from .twisted import (_product_echelon, centralizer_info, enumerate_labels,
@@ -376,6 +376,8 @@ def verify_presentation(rs: RootSystem, k: int, gens, primes=DEFAULT_PRIMES,
         raise InputError("generator list must be nonempty")
     if not primes:
         raise InputError("prime list must be nonempty")
+    for p in primes:
+        check_prime(p)
     membership = [in_fusion_ideal(rs, g, k) for g in gens]
     alcove_count = len(alcove_weights(rs, k))
     codim_q = None

@@ -122,3 +122,10 @@ def test_internal_limit_exits_three(capsys, monkeypatch):
     code, _, err = run(capsys, ["presentation", "--group", "A1", "--level", "2"])
     assert code == 3
     assert "internal limit" in err
+
+
+def test_composite_primes_exit_two(capsys):
+    for primes in ("4", "2,9", "2147483659"):
+        code, _, err = run(capsys, ["verify-g2", "--level", "1", "--primes", primes])
+        assert code == 2
+        assert "prime" in err

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from fusionring import FieldPoly, buchberger, normal_form, quotient_codimension
 from fusionring.groebner import INFINITE, grevlex_key
 
@@ -145,3 +147,39 @@ def test_prime_field_arithmetic():
     # coefficients collapse modulo 2
     h = FieldPoly(1, {(1,): 2, (0,): 1}, 2)
     assert h.terms == {(0,): 1}
+
+
+def test_composite_modulus_rejected(g2):
+    from fusionring import InputError
+    from fusionring.resolution import g2_fusion_ideal_generators, verify_presentation
+    # Fermat inversion modulo 4 or 9 certified this as "pass"
+    with pytest.raises(InputError):
+        verify_presentation(g2, 2, g2_fusion_ideal_generators(2), primes=(4, 9))
+    for bad in (0, 1, 4, 9, 91, 2 ** 31, 2 ** 31 + 11):
+        with pytest.raises(InputError):
+            FieldPoly(1, {(1,): 1}, bad)
+
+
+def test_check_prime():
+    from fusionring import InputError
+    from fusionring.groebner import check_prime
+    for p in (2, 3, 31, 2 ** 31 - 1):
+        assert check_prime(p) == p
+    for bad in (0, 1, 4, 9, 91, 2 ** 31, 2 ** 31 + 11, 5.0):
+        with pytest.raises(InputError):
+            check_prime(bad)
+
+
+def test_normal_form_ring_mismatch():
+    from fusionring import InputError
+    f = poly2({(2, 0): 1, (0, 1): -1})
+    g = poly2({(0, 2): 1, (1, 0): -1})
+    gb_q = buchberger([f, g])
+    gb_5 = buchberger([poly2(f.terms, 5), poly2({(0, 2): 1, (1, 0): -1}, 5)])
+    with pytest.raises(InputError):
+        normal_form(poly2({(3, 0): 1}, 5), gb_q)
+    with pytest.raises(InputError):
+        normal_form(poly2({(3, 0): 1}), gb_5)
+    with pytest.raises(InputError):
+        normal_form(FieldPoly(3, {(3, 0, 0): 1}), gb_q)
+    assert normal_form(poly2({(3, 0): 1}, 5), gb_5).terms == {(1, 1): 1}
