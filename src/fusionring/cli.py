@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import __version__
@@ -56,7 +55,7 @@ def _emit(args, payload: dict, text: str | None = None):
 
 
 def _base_payload(args, group: str, level=None) -> dict:
-    cfg = {"group": group, "format": args.format, "threads": args.threads}
+    cfg = {"group": group, "format": args.format}
     if level is not None:
         cfg["level"] = level
     if getattr(args, "primes", None):
@@ -72,7 +71,7 @@ def _weight_str(w):
 
 def cmd_fusion(args) -> int:
     rs = build_root_system(args.group)
-    table = fusion_table(rs, args.level, threads=args.threads)
+    table = fusion_table(rs, args.level)
     basis = alcove_weights(rs, args.level)
     cells = {}
     for a in basis:
@@ -224,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="level-bound override for truncated checks")
         p.add_argument("--format", choices=("json", "csv", "md"), default="json")
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("fusion", help="full fusion table at one level")
     common(p)

@@ -134,20 +134,11 @@ def fuse_elements(rs: RootSystem, x: FusionElement, y: FusionElement) -> FusionE
     return out
 
 
-def fusion_table(rs: RootSystem, k: int, threads: int = 1) -> dict:
+def fusion_table(rs: RootSystem, k: int) -> dict:
     """All pairwise fusion products, keyed by ordered weight pairs."""
     basis = alcove_weights(rs, k)
-    pairs = [(a, b) for a in basis for b in basis if a <= b]
-
-    def compute(pair):
-        return pair, fusion_product(rs, pair[0], pair[1], k)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(compute, pairs))
-    else:
-        results = dict(compute(p) for p in pairs)
+    results = {(a, b): fusion_product(rs, a, b, k)
+               for a in basis for b in basis if a <= b}
     table = {}
     for a in basis:
         for b in basis:

@@ -150,13 +150,15 @@ def _term_key(rs, w):
     return (rs.level(w), w)
 
 
+# keyed on the RootSystem itself (eq=False, so it hashes by identity): the
+# key keeps the object alive, so its id cannot be reused by another one
 _MONOMIAL_CACHE: dict = {}
 
 
 def monomial_character(rs: RootSystem, exponents) -> VirtualCharacter:
     """Character of the monomial prod x_i^{e_i}, memoized per root system."""
     exponents = tuple(exponents)
-    key = (id(rs), exponents)
+    key = (rs, exponents)
     cached = _MONOMIAL_CACHE.get(key)
     if cached is not None:
         return cached

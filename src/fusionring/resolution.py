@@ -298,7 +298,8 @@ def extract_presentation(rs: RootSystem, k: int,
             if residual:
                 raise InternalLimitError(
                     f"cannot express d1({g}) over the vertex basis of {vertex} "
-                    f"at level {k}; raise the lambda bound ({lambda_bound})")
+                    f"at level {k}: raise lambda_bound (level_bound={level_bound}, "
+                    f"lambda_bound={lambda_bound})")
             coeffs = {}
             for (idx, lam), c in combo.items():
                 coeffs[idx] = coeffs.get(idx, VirtualCharacter.zero()) \

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import InputError
 
@@ -329,16 +330,23 @@ def weyl_orbit_signed(rs: RootSystem, w) -> list:
     return sorted(seen.items())
 
 
-def dominant_reduce(rs: RootSystem, w):
-    """The dominant representative of the Weyl orbit of w."""
-    v = _check_weight(rs, w)
+def _dominant(rs: RootSystem, v):
+    """dominant_reduce without input checks."""
+    simple = rs.simple_roots
+    n = rs.rank
     while True:
-        for i in range(1, rs.rank + 1):
-            if v[i - 1] < 0:
-                v = rs.reflect(i, v)
+        for i in range(n):
+            ci = v[i]
+            if ci < 0:
+                v = tuple(x - ci * r for x, r in zip(v, simple[i]))
                 break
         else:
             return v
+
+
+def dominant_reduce(rs: RootSystem, w):
+    """The dominant representative of the Weyl orbit of w."""
+    return _dominant(rs, _check_weight(rs, w))
 
 
 def shifted_dominant_reduce(rs: RootSystem, w):
@@ -383,13 +391,36 @@ def alcove_weights(rs: RootSystem, k: int) -> list:
 
 
 @lru_cache(maxsize=None)
+def _integer_form(rs: RootSystem) -> tuple:
+    """The form scaled by the least common denominator D of its entries: an
+    integer matrix G with D * (v, w) = v . G w."""
+    den = 1
+    for row in rs.form:
+        for x in row:
+            den = lcm(den, x.denominator)
+    return tuple(tuple(int(x * den) for x in row) for row in rs.form)
+
+
+@lru_cache(maxsize=None)
 def _dominant_multiplicities(rs: RootSystem, highest: Weight) -> dict:
-    """Freudenthal multiplicities of the dominant weights of one irrep."""
+    """Freudenthal multiplicities of the dominant weights of one irrep.
+
+    Runs on exact integers: with G from _integer_form every pairing is
+    scaled by the form's common denominator, and for each positive root
+    alpha the vector G alpha is kept, since (nu, alpha) is linear in nu.
+    Each multiplicity 2 * sum / ((lam + rho)^2 - (mu + rho)^2) must come
+    out as an exact nonnegative integer; anything else raises
+    AssertionError.  On weight systems see Moody and Patera, "Fast
+    recursion formula for weight multiplicities", Bull. AMS 7 (1982).
+    """
     n = rs.rank
     lam = highest
-    rho = rs.rho
-    lam_rho = tuple(x + 1 for x in lam)
-    norm_top = rs.form_pair(lam_rho, lam_rho)
+    gram = _integer_form(rs)
+
+    def norm(v):
+        return sum(v[i] * sum(g * x for g, x in zip(gram[i], v)) for i in range(n) if v[i])
+
+    norm_top = norm(tuple(x + 1 for x in lam))
     # box bounds for the simple-root coefficients of lam - mu
     bounds = []
     for j in range(n):
@@ -411,30 +442,34 @@ def _dominant_multiplicities(rs: RootSystem, highest: Weight) -> dict:
             cur = [x - r for x, r in zip(cur, cart[j])]
     candidates.sort()
     mults = {}
-    pos = list(zip(rs.positive_roots, rs.positive_root_coords))
+    pos = []
+    for alpha, alpha_c in zip(rs.positive_roots, rs.positive_root_coords):
+        g_alpha = tuple(sum(g * a for g, a in zip(row, alpha)) for row in gram)
+        # (alpha, G alpha) is D * (alpha, alpha): the step of (nu, alpha) along alpha
+        pos.append((alpha, alpha_c, g_alpha, sum(a * g for a, g in zip(alpha, g_alpha))))
     for height, coeffs, mu in candidates:
         if height == 0:
             mults[mu] = 1
             continue
-        total = Fraction(0)
-        for alpha, alpha_c in pos:
-            j = 1
-            while True:
-                cc = tuple(a - j * b for a, b in zip(coeffs, alpha_c))
-                if any(x < 0 for x in cc):
-                    break
-                nu = tuple(a + j * b for a, b in zip(mu, alpha))
-                m = mults.get(dominant_reduce(rs, nu), 0)
+        total = 0
+        for alpha, alpha_c, g_alpha, step in pos:
+            # the alpha-string above mu stays below lam while lam - nu has
+            # nonnegative simple-root coefficients
+            top = min((c // a for c, a in zip(coeffs, alpha_c) if a), default=0)
+            pair = sum(x * g for x, g in zip(mu, g_alpha))
+            nu = mu
+            for _ in range(top):
+                nu = tuple(x + a for x, a in zip(nu, alpha))
+                pair += step
+                m = mults.get(_dominant(rs, nu), 0)
                 if m:
-                    total += m * rs.form_pair(nu, alpha)
-                j += 1
-        mu_rho = tuple(x + 1 for x in mu)
-        den = norm_top - rs.form_pair(mu_rho, mu_rho)
-        val = 2 * total / den
-        if val.denominator != 1 or val < 0:
+                    total += m * pair
+        den = norm_top - norm(tuple(x + 1 for x in mu))
+        val, rem = divmod(2 * total, den)
+        if rem or val < 0:
             raise AssertionError("Freudenthal recursion produced a bad value")
         if val:
-            mults[mu] = int(val)
+            mults[mu] = val
     return mults
 
 

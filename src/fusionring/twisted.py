@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, mul, sub
 
 from .errors import InputError, InternalLimitError
 from .intlinalg import ZEchelon
@@ -230,46 +231,69 @@ def _beta2(rs, subset, w):
     return tuple(2 * x + y for x, y in zip(w, r2))
 
 
+@lru_cache(maxsize=None)
+def _face_walk(rs: RootSystem, subset: tuple, k: int):
+    """Chamber-walk kernel for one validated face and level.
+
+    Binds rho_S, the linear node roots, theta, the comarks and the
+    reflection cap once; the returned function maps a weight w, shifted by
+    an optional weight nu, to what regularize_affine documents for w + nu.
+    One closure per (face, level), no per-weight memo.
+    """
+    r2 = rho2(rs, subset)
+    linear = tuple((i - 1, rs.simple_roots[i - 1]) for i in subset if i != 0)
+    walls = tuple(i for i, _ in linear)
+    affine = 0 in subset
+    theta = rs.highest_root
+    comarks = rs.comarks[1:]
+    k2 = 2 * k
+    limit = 2 * len(subsystem_positive_roots(rs, subset)) + 16
+    zero = (0,) * rs.rank
+
+    def walk(w, nu=zero):
+        beta = [2 * (x + y) + r for x, y, r in zip(w, nu, r2)]
+        sign = 1
+        for _ in range(limit):
+            for i, root in linear:
+                ci = beta[i]
+                if ci < 0:
+                    beta = [x - ci * r for x, r in zip(beta, root)]
+                    sign = -sign
+                    break
+            else:
+                if affine:
+                    lev = sum(map(mul, comarks, beta))
+                    if lev > k2:
+                        beta = [x + (k2 - lev) * t for x, t in zip(beta, theta)]
+                        sign = -sign
+                        continue
+                    if lev == k2:
+                        return None
+                for i in walls:
+                    if not beta[i]:
+                        return None
+                diff = list(map(sub, beta, r2))
+                for x in diff:
+                    if x & 1:
+                        raise AssertionError("label is not an integral weight")
+                return tuple([x >> 1 for x in diff]), sign
+        raise InternalLimitError(
+            f"chamber walk exceeded {limit} reflections for "
+            f"{tuple(map(add, w, nu))} on face {subset} at level {k}")
+
+    return walk
+
+
 def regularize_affine(rs: RootSystem, subset, k: int, w):
     """Reduce w + rho_S into the fundamental chamber of the face group.
 
     Returns None when w + rho_S lies on a reflection wall, otherwise the
     pair (label, sign) with label + rho_S strictly inside the chamber and
     sign the determinant of the linear part of the group element used.
+    Validates the face and runs the cached walk kernel of (face, level);
+    internal callers holding a validated face call that kernel directly.
     """
-    subset = face_subset(rs, subset)
-    beta = _beta2(rs, subset, w)
-    linear = [i for i in subset if i != 0]
-    affine = 0 in subset
-    theta = rs.highest_root
-    sign = 1
-    limit = 2 * len(subsystem_positive_roots(rs, subset)) + 16
-    for _ in range(limit):
-        for i in linear:
-            if beta[i - 1] < 0:
-                beta = rs.reflect(i, beta)
-                sign = -sign
-                break
-        else:
-            if affine:
-                lev = rs.level(beta)
-                if lev > 2 * k:
-                    beta = tuple(x + (2 * k - lev) * t for x, t in zip(beta, theta))
-                    sign = -sign
-                    continue
-                if lev == 2 * k:
-                    return None
-            if any(beta[i - 1] == 0 for i in linear):
-                return None
-            r2 = rho2(rs, subset)
-            label = []
-            for x, y in zip(beta, r2):
-                if (x - y) % 2:
-                    raise AssertionError("label is not an integral weight")
-                label.append((x - y) // 2)
-            return tuple(label), sign
-    raise InternalLimitError(
-        f"chamber walk exceeded {limit} reflections for {w} on face {subset}")
+    return _face_walk(rs, face_subset(rs, subset), k)(w)
 
 
 def is_valid_label(rs: RootSystem, subset, k: int, mu) -> bool:
@@ -376,10 +400,11 @@ def _char_weights(rs, c: VirtualCharacter) -> dict:
 def rg_multiply(rs: RootSystem, c: VirtualCharacter, x: TwistedModuleElement) -> TwistedModuleElement:
     """Module action of a virtual character on an invariant-module element."""
     weights = _char_weights(rs, c)
+    walk = _face_walk(rs, face_subset(rs, x.subset), x.level)
     out = {}
     for mu, a in x.terms.items():
         for nu, m in weights.items():
-            red = regularize_affine(rs, x.subset, x.level, tuple(p + q for p, q in zip(mu, nu)))
+            red = walk(mu, nu)
             if red is None:
                 continue
             lab, sign = red
@@ -392,10 +417,11 @@ def rg_multiply(rs: RootSystem, c: VirtualCharacter, x: TwistedModuleElement) ->
 
 
 def _label_product(rs, subset, k, lam, c):
-    """Vector of irrep(lam) acting on the single label c."""
+    """Vector of irrep(lam) acting on the single label c of a validated face."""
+    walk = _face_walk(rs, subset, k)
     out = {}
     for nu, m in full_weights(rs, lam).items():
-        red = regularize_affine(rs, subset, k, tuple(p + q for p, q in zip(c, nu)))
+        red = walk(c, nu)
         if red is None:
             continue
         lab, sign = red
@@ -407,18 +433,21 @@ def _label_product(rs, subset, k, lam, c):
     return out
 
 
-def _label_key(rs):
-    lev = rs.comarks[1:]
-    cache = {}
+class _LabelKeys(dict):
+    """Column order of label vectors: level, then the label itself."""
 
-    def key(mu):
-        k = cache.get(mu)
-        if k is None:
-            k = (sum(c * x for c, x in zip(lev, mu)), mu)
-            cache[k[1]] = k
+    def __init__(self, rs):
+        super().__init__()
+        self.comarks = rs.comarks[1:]
+
+    def __missing__(self, mu):
+        k = self[mu] = (sum(map(mul, self.comarks, mu)), mu)
         return k
 
-    return key
+
+def _label_key(rs):
+    # a bound dict lookup: no Python frame once a label has been seen
+    return _LabelKeys(rs).__getitem__
 
 
 def _product_echelon(rs, subset, k, candidates, lambda_bound, with_meta=False):
@@ -429,7 +458,7 @@ def _product_echelon(rs, subset, k, candidates, lambda_bound, with_meta=False):
         for lam in alcove_weights(rs, lambda_bound):
             vec = _label_product(rs, subset, k, lam, c)
             if vec:
-                rows.append((max(key(m) for m in vec), vec, (idx, lam)))
+                rows.append((max(map(key, vec)), vec, (idx, lam)))
     # ascending leading order keeps the elimination nearly collision-free
     rows.sort(key=lambda r: r[0])
     for _, vec, tag in rows:
@@ -437,20 +466,19 @@ def _product_echelon(rs, subset, k, candidates, lambda_bound, with_meta=False):
     return ech
 
 
-def _certify_spanning(rs, subset, k, candidates, window, lambda_bound):
-    """Check that every window label is an integer combination of character
-    multiples of the candidates.
+def _certify_spanning(ech, window):
+    """Check that every window label lies in the lattice of ech, the
+    character multiples of the candidates.
 
     Labels are certified from the top of the ordering downward, and each
     certified label is absorbed as a unit pivot, which keeps the integer
-    elimination shallow.  Returns (ok, first unreached label or None).
+    elimination shallow.  Membership does not depend on the order the rows
+    went in.  Returns the first unreached label, or None.
     """
-    ech = _product_echelon(rs, subset, k, candidates, lambda_bound)
-    key = _label_key(rs)
-    for mu in sorted(window, key=key, reverse=True):
+    for mu in sorted(window, key=ech.col_key, reverse=True):
         if not ech.absorb_unit(mu):
-            return False, mu
-    return True, None
+            return mu
+    return None
 
 
 @dataclass
@@ -482,7 +510,8 @@ def verify_module_basis(rs: RootSystem, subset, k: int, candidates,
     Every window label must be an integer combination of character multiples
     of the candidates; together with the rank count this certifies a basis
     at desk scale.  A pass only covers labels inside the window, which the
-    report records.
+    report records.  The product rows are built from scratch here, so this
+    stays independent of the echelon find_module_basis certifies with.
     """
     subset = face_subset(rs, subset)
     candidates = tuple(tuple(c) for c in candidates)
@@ -505,8 +534,9 @@ def verify_module_basis(rs: RootSystem, subset, k: int, candidates,
             return report
     window = enumerate_labels(rs, subset, k, level_bound)
     report.labels_checked = len(window)
-    ok, missed = _certify_spanning(rs, subset, k, candidates, window, lambda_bound)
-    if not ok:
+    missed = _certify_spanning(
+        _product_echelon(rs, subset, k, candidates, lambda_bound), window)
+    if missed is not None:
         report.failure = f"label {missed} is not reached by the candidates"
         return report
     report.passed = True
@@ -554,8 +584,9 @@ def find_module_basis(rs: RootSystem, subset, k: int, seeds=(),
     For faces containing the affine node the level is first reduced modulo
     the twist order via the translation isomorphism.  Candidates are
     scanned by distance from the seed labels (chamber corner when no seeds)
-    and added greedily while independent; the result is certified by the
-    same window check as verify_module_basis.
+    and added greedily while independent; the window is then certified on
+    the echelon of the chosen candidates' product rows, the same lattice
+    verify_module_basis rebuilds from scratch.
     """
     subset = face_subset(rs, subset)
     seeds = [tuple(s) for s in seeds]
@@ -566,15 +597,24 @@ def find_module_basis(rs: RootSystem, subset, k: int, seeds=(),
             delta = translation_weight(rs, subset)
             steps = (k - k0) // d
             back = [tuple(s - steps * t for s, t in zip(lab, delta)) for lab in seeds]
-            base = find_module_basis(rs, subset, k0, seeds=back,
-                                     level_bound=level_bound, lambda_bound=lambda_bound)
+            base = _search_basis(rs, subset, k0, back, level_bound, lambda_bound,
+                                 requested=k)
             return [tuple(b + steps * t for b, t in zip(lab, delta)) for lab in base]
+    return _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, requested=k)
+
+
+def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, requested):
+    """The search of find_module_basis on a validated face at level k;
+    limit messages also name the level the caller requested."""
     if level_bound is None:
         level_bound = k + 2 * rs.dual_coxeter
     if lambda_bound is None:
         lambda_bound = level_bound + rs.dual_coxeter + k
-    info = centralizer_info(rs, subset)
-    rank = info.module_rank
+    where = f"face {subset} at level {k}"
+    if requested != k:
+        where += f" (translated from requested level {requested})"
+    bounds = f"level_bound={level_bound}, lambda_bound={lambda_bound}"
+    rank = centralizer_info(rs, subset).module_rank
     window = enumerate_labels(rs, subset, k, level_bound)
     if seeds:
         center = [Fraction(sum(_beta2(rs, subset, s)[i] for s in seeds), len(seeds))
@@ -599,7 +639,7 @@ def find_module_basis(rs: RootSystem, subset, k: int, seeds=(),
         for lam in lams:
             vec = _label_product(rs, subset, k, lam, c)
             if vec:
-                rows.append((max(key(m) for m in vec), vec))
+                rows.append((max(map(key, vec)), vec))
         rows.sort(key=lambda r: r[0])
         for _, vec in rows:
             ech.insert(vec, None)
@@ -607,7 +647,7 @@ def find_module_basis(rs: RootSystem, subset, k: int, seeds=(),
     for s in seeds:
         if ech.contains({s: 1}):
             raise InternalLimitError(
-                f"seed label {s} is dependent on earlier seeds for face {subset}")
+                f"seed label {s} is dependent on earlier seeds for {where} ({bounds})")
         add(s)
     for cand in ordered:
         if len(chosen) == rank:
@@ -617,13 +657,13 @@ def find_module_basis(rs: RootSystem, subset, k: int, seeds=(),
         add(cand)
     if len(chosen) != rank:
         raise InternalLimitError(
-            f"found only {len(chosen)} of {rank} generators for face {subset} "
-            f"at level {k} (bounds {level_bound}/{lambda_bound})")
-    ok, missed = _certify_spanning(rs, subset, k, chosen, window, lambda_bound)
-    if not ok:
+            f"found only {len(chosen)} of {rank} generators for {where}: "
+            f"the label window is too small, raise level_bound ({bounds})")
+    missed = _certify_spanning(ech, window)
+    if missed is not None:
         raise InternalLimitError(
-            f"candidate set {chosen} fails to span label {missed} on face "
-            f"{subset} at level {k} (bounds {level_bound}/{lambda_bound})")
+            f"candidate set {chosen} fails to span label {missed} on {where}: "
+            f"too few character multiples, raise lambda_bound ({bounds})")
     return chosen
 
 

@@ -45,6 +45,18 @@ def test_json_reports_are_byte_stable(capsys):
     assert len(payload["basis"]) == 4 and len(payload["table"]) == 16
 
 
+def test_json_does_not_depend_on_cpu_count(capsys, monkeypatch):
+    import os
+    outputs = []
+    for cpus in (1, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        code, out, _ = run(capsys, ["census", "--group", "G2"])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert "threads" not in json.loads(outputs[0])["config"]
+
+
 def test_verify_g2_exit_codes(capsys):
     code, out, _ = run(capsys, ["verify-g2", "--level", "1", "--primes", "2,3"])
     assert code == 0

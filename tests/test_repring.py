@@ -95,3 +95,12 @@ def test_monomial_character_leading_term(g2):
     key = lambda w: (g2.level(w), w)
     assert max(m.terms, key=key) == (2, 1)
     assert m.terms[(2, 1)] == 1
+
+
+
+def test_monomial_cache_holds_the_root_system(g2):
+    # keyed on the object, not on id(): an entry keeps its root system
+    # alive, so another one created later at the same address cannot read it
+    from fusionring.repring import _MONOMIAL_CACHE
+    monomial_character(g2, (1, 1))
+    assert (g2, (1, 1)) in _MONOMIAL_CACHE

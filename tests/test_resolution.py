@@ -1,8 +1,8 @@
 import pytest
 
-from fusionring import (InputError, VirtualCharacter, build_complex,
-                        build_root_system, cokernel_vs_oracle, d1_component,
-                        d_squared_check, extract_presentation,
+from fusionring import (InputError, InternalLimitError, VirtualCharacter,
+                        build_complex, build_root_system, cokernel_vs_oracle,
+                        d1_component, d_squared_check, extract_presentation,
                         g2_fusion_ideal_generators, in_fusion_ideal,
                         verify_presentation)
 from fusionring.groebner import INFINITE
@@ -155,3 +155,13 @@ def test_extract_presentation_g2_level_one(g2):
         assert in_fusion_ideal(g2, gen, 1)
     report = verify_presentation(g2, 1, result.generators, primes=(2, 3, 5))
     assert report.passed
+
+
+def test_limit_messages_name_the_bound(g2):
+    # the failing vertex face (0, 2) is searched at its base level 0; the
+    # message names the bound to raise and both levels
+    with pytest.raises(InternalLimitError) as info:
+        extract_presentation(g2, 1, lambda_bound=3)
+    message = str(info.value)
+    assert "raise lambda_bound" in message and "lambda_bound=3" in message
+    assert "at level 0 (translated from requested level 1)" in message

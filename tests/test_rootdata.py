@@ -6,6 +6,7 @@ import pytest
 from fusionring import (InputError, LieType, alcove_weights, build_root_system,
                         full_weights, shifted_dominant_reduce,
                         weight_multiplicity, weyl_dimension, weyl_orbit)
+from fusionring.rootdata import _dominant_multiplicities, dominant_reduce
 
 ALL_SMALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -210,3 +211,66 @@ def test_dimension_equals_sum_of_multiplicities(name):
     for highest in alcove_weights(rs, 4):
         total = sum(full_weights(rs, highest).values())
         assert total == weyl_dimension(rs, highest)
+
+
+def _fraction_multiplicities(rs, lam):
+    """The rational-arithmetic Freudenthal recursion, kept as an oracle."""
+    n = rs.rank
+    norm_top = rs.form_pair(tuple(x + 1 for x in lam), tuple(x + 1 for x in lam))
+    bounds = [int(sum(lam[i] * rs.form[i][j] for i in range(n)) / rs.root_lengths[j])
+              for j in range(n)]
+    candidates = []
+    stack = [(0, (), list(lam))]
+    while stack:
+        j, coeffs, mu = stack.pop()
+        if j == n:
+            if all(x >= 0 for x in mu):
+                candidates.append((sum(coeffs), coeffs, tuple(mu)))
+            continue
+        cur = mu
+        for c in range(bounds[j] + 1):
+            stack.append((j + 1, coeffs + (c,), list(cur)))
+            cur = [x - r for x, r in zip(cur, rs.cartan[j])]
+    mults = {}
+    for height, coeffs, mu in sorted(candidates):
+        if height == 0:
+            mults[mu] = 1
+            continue
+        total = Fraction(0)
+        for alpha, alpha_c in zip(rs.positive_roots, rs.positive_root_coords):
+            j = 1
+            while all(a - j * b >= 0 for a, b in zip(coeffs, alpha_c)):
+                nu = tuple(a + j * b for a, b in zip(mu, alpha))
+                total += mults.get(dominant_reduce(rs, nu), 0) * rs.form_pair(nu, alpha)
+                j += 1
+        mu_rho = tuple(x + 1 for x in mu)
+        val = 2 * total / (norm_top - rs.form_pair(mu_rho, mu_rho))
+        assert val.denominator == 1 and val >= 0
+        if val:
+            mults[mu] = int(val)
+    return mults
+
+
+FREUDENTHAL_TYPES = ([f"A{n}" for n in range(1, 5)] + [f"B{n}" for n in range(2, 5)]
+                     + [f"C{n}" for n in range(2, 5)] + ["D3", "D4", "F4", "G2", "E6"])
+
+
+def _small_dominant(rs):
+    """Zero and the fundamental weights; their pairwise sums up to rank
+    three; the level-4 alcove in rank two."""
+    n = rs.rank
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    out = {(0,) * n} | set(unit)
+    if n <= 3:
+        out |= {tuple(a + b for a, b in zip(u, v)) for u in unit for v in unit}
+    if n == 2:
+        out |= set(alcove_weights(rs, 4))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", FREUDENTHAL_TYPES)
+def test_integer_freudenthal(name):
+    rs = build_root_system(name)
+    for lam in _small_dominant(rs):
+        assert _dominant_multiplicities(rs, lam) == _fraction_multiplicities(rs, lam)
+        assert sum(full_weights(rs, lam).values()) == weyl_dimension(rs, lam)

@@ -4,13 +4,13 @@ from math import gcd
 
 import pytest
 
-from fusionring import (InputError, TwistedModuleElement, VirtualCharacter,
+from fusionring import (InputError, InternalLimitError, TwistedModuleElement, VirtualCharacter,
                         build_root_system, census, centralizer_info,
                         enumerate_labels, face_subset, find_module_basis,
                         full_weights, module_element_expansion,
                         regularize_affine, rg_multiply, rho_S, tensor_product,
                         twist_order, verify_module_basis)
-from fusionring.twisted import (_affine_group, char_expansion, laurent_add,
+from fusionring.twisted import (_affine_group, _apply_affine, char_expansion, laurent_add,
                                 laurent_mul, laurent_scale, rho2,
                                 translation_weight)
 
@@ -269,3 +269,56 @@ def test_find_module_basis_matches_proof_structure(g2, a1):
     assert find_module_basis(g2, (0, 2), 2) == [(2, 0), (1, 0)]
     found = find_module_basis(g2, (0, 1), 2)
     assert len(found) == 3
+
+
+def _proper_faces(rs):
+    nodes = range(rs.rank + 1)
+    return [face_subset(rs, [i for i in nodes if mask >> i & 1])
+            for mask in range(2 ** (rs.rank + 1) - 1)]
+
+
+def _walk_by_group(rs, subset, k, w):
+    """The image of 2w + 2 rho_S in the open chamber, found over every
+    element of the face group, with that element's determinant."""
+    r2 = rho2(rs, subset)
+    point = tuple(2 * x + y for x, y in zip(w, r2))
+    hits = []
+    for el, sign in _affine_group(rs, subset, k).items():
+        p = _apply_affine(el, point)
+        if all(p[i - 1] > 0 for i in subset if i) and \
+                (0 not in subset or rs.level(p) < 2 * k):
+            assert all((x - y) % 2 == 0 for x, y in zip(p, r2))
+            hits.append((tuple((x - y) // 2 for x, y in zip(p, r2)), sign))
+    assert len(hits) <= 1
+    return hits[0] if hits else None
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_face_walk_against_group_enumeration(name):
+    rs = build_root_system(name)
+    box = range(-3, 4)
+    for subset in _proper_faces(rs):
+        for k in range(3):
+            for w in ((a, b) for a in box for b in box):
+                assert regularize_affine(rs, subset, k, w) == \
+                    _walk_by_group(rs, subset, k, w), (subset, k, w)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_found_bases_pass_the_independent_check(name):
+    # find_module_basis certifies on the echelon its search built;
+    # verify_module_basis rebuilds every product row from scratch.  The
+    # walk of a face without the affine node ignores the level, so those
+    # faces are searched at level 0 only.
+    rs = build_root_system(name)
+    for subset in _proper_faces(rs):
+        for k in range(3 if 0 in subset else 1):
+            bound = k + rs.dual_coxeter
+            basis = find_module_basis(rs, subset, k, level_bound=bound)
+            report = verify_module_basis(rs, subset, k, basis, level_bound=bound)
+            assert report.passed, (subset, k, report.failure)
+
+
+def test_small_lambda_bound_still_fails(g2):
+    with pytest.raises(InternalLimitError, match="raise lambda_bound"):
+        find_module_basis(g2, (0, 2), 0, lambda_bound=3)
