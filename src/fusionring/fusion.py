@@ -12,9 +12,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .errors import InputError, InternalLimitError
+from .errors import InputError
 from .repring import VirtualCharacter, tensor_product
-from .rootdata import RootSystem, alcove_weights, weyl_orbit_signed
+from .rootdata import (RootSystem, _check_weight, alcove_weights, rho_walk,
+                       weyl_orbit_signed)
 
 
 class FusionElement:
@@ -67,45 +68,21 @@ def fold_weight(rs: RootSystem, w, k: int):
     """Reduce one weight to the level-k alcove under the shifted action.
 
     Returns None when w + rho hits a wall, else (alcove weight, sign).
-    The reflection count is capped at 10 * (k + h_vee) * rank; exceeding
-    the cap signals a convention bug rather than a legitimate input.
+    Validates the level and the weight, then runs the kernel of the affine
+    Weyl group at k + h_vee (rootdata.rho_walk).  Its reflection cap is
+    derived from the weight, so every input reduces; see
+    rootdata.chamber_walk for the bound.
     """
     if k < 0:
         raise InputError("level must be nonnegative")
-    m = k + rs.dual_coxeter
-    theta = rs.highest_root
-    v = tuple(x + 1 for x in w)
-    sign = 1
-    limit = 10 * m * rs.rank
-    for _ in range(limit):
-        for i in range(1, rs.rank + 1):
-            if v[i - 1] < 0:
-                v = rs.reflect(i, v)
-                sign = -sign
-                break
-        else:
-            lev = rs.level(v)
-            if lev > m:
-                v = tuple(x + (m - lev) * t for x, t in zip(v, theta))
-                sign = -sign
-                continue
-            if any(x == 0 for x in v) or lev == m:
-                return None
-            return tuple(x - 1 for x in v), sign
-    raise InternalLimitError(
-        f"alcove reduction exceeded {limit} reflections for {w} at level {k}")
+    return rho_walk(rs, 2 * (k + rs.dual_coxeter)).walk(_check_weight(rs, w))
 
 
 def fold(rs: RootSystem, x: VirtualCharacter, k: int) -> FusionElement:
     """Linear extension of the alcove reduction to virtual characters."""
-    out = {}
-    for w, c in x.terms.items():
-        red = fold_weight(rs, w, k)
-        if red is None:
-            continue
-        mu, sign = red
-        out[mu] = out.get(mu, 0) + sign * c
-    return FusionElement(k, out)
+    if k < 0:
+        raise InputError("level must be nonnegative")
+    return FusionElement(k, rho_walk(rs, 2 * (k + rs.dual_coxeter)).signed_sum(x.terms))
 
 
 def in_fusion_ideal(rs: RootSystem, x: VirtualCharacter, k: int) -> bool:

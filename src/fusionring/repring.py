@@ -11,8 +11,7 @@ eliminated one, so the elimination terminates.
 from __future__ import annotations
 
 from .errors import InputError
-from .rootdata import (RootSystem, full_weights, shifted_dominant_reduce,
-                       weyl_dimension)
+from .rootdata import RootSystem, full_weights, rho_walk, weyl_dimension
 
 
 def _prune(terms):
@@ -123,17 +122,8 @@ def _klimyk_pair(rs, lam, nu):
     """Decomposition of irrep(lam) x irrep(nu) as {weight: mult}."""
     wl, wn = full_weights(rs, lam), full_weights(rs, nu)
     if len(wl) < len(wn):
-        lam, nu = nu, lam
-        wn = wl
-    out = {}
-    for w, m in wn.items():
-        shifted = tuple(a + b for a, b in zip(lam, w))
-        red = shifted_dominant_reduce(rs, shifted)
-        if red is None:
-            continue
-        mu, sign = red
-        out[mu] = out.get(mu, 0) + sign * m
-    return _prune(out)
+        lam, wn = nu, wl
+    return rho_walk(rs).signed_sum(wn, lam)
 
 
 def tensor_product(rs: RootSystem, x: VirtualCharacter, y: VirtualCharacter) -> VirtualCharacter:

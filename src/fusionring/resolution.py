@@ -11,16 +11,18 @@ plus quotient codimensions over Q and prime fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import InputError, InternalLimitError
-from .fusion import fold_weight, in_fusion_ideal
+from .fusion import in_fusion_ideal
 from .groebner import INFINITE, FieldPoly, check_prime, quotient_codimension
 from .repring import VirtualCharacter, tensor_product, to_polynomial
-from .rootdata import (RootSystem, alcove_weights, shifted_dominant_reduce)
-from .twisted import (_product_echelon, centralizer_info, enumerate_labels,
-                      face_subset, find_module_basis, is_valid_label,
-                      regularize_affine)
+from .rootdata import (RootSystem, alcove_weights, rho_walk,
+                       shifted_dominant_reduce)
+from .twisted import (_face_walk, _product_echelon, centralizer_info,
+                      enumerate_labels, face_subset, find_module_basis,
+                      is_valid_label, regularize_affine)
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -79,24 +81,23 @@ def d1_component(rs: RootSystem, subset, j: int, k: int, mu):
     return label, sign * (-1) ** s
 
 
+@lru_cache(maxsize=None)
+def _cofaces(rs, subset, k) -> tuple:
+    """(target face, walk kernel, simplicial sign) for each coface of a
+    validated face; the vertex faces have none."""
+    if len(subset) == rs.rank:
+        return ()
+    complement = [j for j in range(rs.rank + 1) if j not in subset]
+    targets = [tuple(sorted(subset + (j,))) for j in complement]
+    return tuple((t, _face_walk(rs, t, k), (-1) ** s) for s, t in enumerate(targets))
+
+
 def _d_vector(rs, subset, k, vec):
-    """Full differential of a vector, per target face."""
+    """Full differential of a vector on a validated face, per target face;
+    d1_component is the validated path for one label and one target."""
     out = {}
-    for j in range(rs.rank + 1):
-        if j in subset or len(subset) == rs.rank:
-            continue
-        target = face_subset(rs, tuple(subset) + (j,))
-        acc = {}
-        for mu, c in vec.items():
-            red = d1_component(rs, subset, j, k, mu)
-            if red is None:
-                continue
-            lab, sign = red
-            v = acc.get(lab, 0) + c * sign
-            if v:
-                acc[lab] = v
-            else:
-                acc.pop(lab, None)
+    for target, kernel, sign in _cofaces(rs, subset, k):
+        acc = kernel.signed_sum(vec, scale=sign)
         if acc:
             out[target] = acc
     return out
@@ -133,17 +134,10 @@ def d_squared_check(rs: RootSystem, k: int, level_bound: int | None = None) -> D
         report.modules_checked += 1
         for mu in enumerate_labels(rs, face, k, level_bound):
             report.labels_checked += 1
-            first = _d_vector(rs, face, k, {mu: 1})
             total = {}
-            for target, vec in first.items():
-                for dest, acc in _d_vector(rs, target, k, vec).items():
-                    bucket = total.setdefault(dest, {})
-                    for lab, c in acc.items():
-                        v = bucket.get(lab, 0) + c
-                        if v:
-                            bucket[lab] = v
-                        else:
-                            bucket.pop(lab, None)
+            for target, vec in _d_vector(rs, face, k, {mu: 1}).items():
+                for dest, kernel, sign in _cofaces(rs, target, k):
+                    kernel.signed_sum(vec, scale=sign, out=total.setdefault(dest, {}))
             if any(bucket for bucket in total.values()):
                 report.passed = False
                 report.violations.append((face, mu, total))
@@ -183,6 +177,7 @@ def cokernel_vs_oracle(rs: RootSystem, k: int, level_bound: int | None = None) -
         level_bound = k + 2 * rs.dual_coxeter
     n = rs.rank
     alcove = set(alcove_weights(rs, k))
+    fold_walk = rho_walk(rs, 2 * (k + rs.dual_coxeter))
     hit = set()
     edge_ok = True
     first_failure = ""
@@ -191,7 +186,7 @@ def cokernel_vs_oracle(rs: RootSystem, k: int, level_bound: int | None = None) -
         face = face_subset(rs, face)
         for mu in enumerate_labels(rs, face, k, level_bound):
             vertex_count += 1
-            red = fold_weight(rs, mu, k)
+            red = fold_walk.walk(mu)
             if red is not None:
                 hit.add(red[0])
     for face in combinations(range(n + 1), n - 1):
@@ -199,17 +194,8 @@ def cokernel_vs_oracle(rs: RootSystem, k: int, level_bound: int | None = None) -
         for mu in enumerate_labels(rs, face, k, level_bound):
             edge_count += 1
             total = {}
-            for target, vec in _d_vector(rs, face, k, {mu: 1}).items():
-                for lab, c in vec.items():
-                    red = fold_weight(rs, lab, k)
-                    if red is None:
-                        continue
-                    w, sign = red
-                    v = total.get(w, 0) + c * sign
-                    if v:
-                        total[w] = v
-                    else:
-                        total.pop(w, None)
+            for vec in _d_vector(rs, face, k, {mu: 1}).values():
+                fold_walk.signed_sum(vec, out=total)
             if total and edge_ok:
                 edge_ok = False
                 first_failure = f"edge {face} label {mu} folds to {total}"

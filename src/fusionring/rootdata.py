@@ -11,10 +11,12 @@ the 14-dimensional adjoint.  The affine node is indexed 0 everywhere.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add, mul, sub
 
 from .errors import InputError
 
@@ -354,21 +356,136 @@ def shifted_dominant_reduce(rs: RootSystem, w):
 
     Returns None when w + rho lies on a reflection wall, otherwise the pair
     (mu, sign) with mu + rho the dominant representative of w + rho and sign
-    the determinant of the Weyl element used.
+    the determinant of the Weyl element used.  Validates the weight and
+    runs the finite Weyl group's chamber walk (rho_walk).
     """
-    v = tuple(x + 1 for x in _check_weight(rs, w))
-    sign = 1
-    while True:
-        for i in range(1, rs.rank + 1):
-            if v[i - 1] < 0:
-                v = rs.reflect(i, v)
-                sign = -sign
-                break
-        else:
-            break
-    if any(x == 0 for x in v):
-        return None
-    return tuple(x - 1 for x in v), sign
+    return rho_walk(rs).walk(_check_weight(rs, w))
+
+
+def _node_root(rs: RootSystem, i: int):
+    """The root of affine Dynkin node i; node 0 carries -theta."""
+    return rs.affine_root if i == 0 else rs.simple_roots[i - 1]
+
+
+@lru_cache(maxsize=None)
+def subsystem_positive_roots(rs: RootSystem, subset: tuple) -> tuple:
+    """Positive roots of the subsystem on a set of affine Dynkin nodes, in
+    its own simple system."""
+    simples = [_node_root(rs, i) for i in subset]
+    all_roots = set(rs.positive_roots) | {tuple(-x for x in w) for w in rs.positive_roots}
+    found = set(simples)
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for s in simples:
+                cand = tuple(a + b for a, b in zip(r, s))
+                if cand in all_roots and cand not in found:
+                    found.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return tuple(sorted(found))
+
+
+ChamberWalk = namedtuple("ChamberWalk", "walk signed_sum")
+
+
+@lru_cache(maxsize=None)
+def chamber_walk(rs: RootSystem, walls: tuple, shift2: tuple, level2) -> ChamberWalk:
+    """The chamber-walk kernel of one reflection group, on doubled coordinates.
+
+    The group is generated by the simple reflections at the 0-based linear
+    walls and, unless level2 is None, the reflection in the affine wall
+    where the level equals level2 / 2; doubling keeps a half-integral shift
+    such as rho_S integral.  ``walk(w, nu=0)`` reflects
+    beta = 2 (w + nu) + shift2 greedily into the open chamber and returns
+    None on a wall, else (label, sign) with 2 label + shift2 the chamber
+    point and sign the determinant of the linear part used.
+    ``signed_sum(terms, nu=0, scale=1, out=None)`` adds scale * coeff * sign
+    at the label of each weight of a {weight: coeff} map into out (a new
+    dict by default), pruning zeros, and returns out.
+
+    The reflection cap is derived: each greedy reflection removes exactly
+    one hyperplane separating the point from the chamber (Humphreys,
+    Reflection Groups and Coxeter Groups, 1990, section 4.5).  A finite
+    group (a proper face, or no affine wall) has |Phi+_S| hyperplanes.  At
+    level m = level2 / 2, root alpha separates at most |(v, alpha)| / m + 1
+    of the hyperplanes (x, alpha) = j m from the alcove, v = beta / 2, and
+    sum |(v, alpha)| <= sum_i |v_i| (omega_i, 2 rho), so the cap is
+    |Phi+| + floor(sum_i |v_i| (omega_i, 2 rho) / m).  Exceeding a cap is a
+    bug and raises AssertionError.  Cached per (root system, walls, shift,
+    level), never per weight.
+    """
+    linear = tuple((i, rs.simple_roots[i]) for i in walls)
+    affine = level2 is not None
+    theta = rs.highest_root
+    comarks = rs.comarks[1:]
+    if affine and len(walls) == rs.rank:
+        two_rho = [2 * sum(row) for row in rs.form]   # (omega_i, 2 rho)
+        common = lcm(*(x.denominator for x in two_rho))
+        weights = tuple(int(x * common) for x in two_rho)
+        den = common * level2
+        base = len(rs.positive_roots)
+    else:
+        weights = None
+        nodes = ((0,) if affine else ()) + tuple(i + 1 for i in walls)
+        base = len(subsystem_positive_roots(rs, nodes))
+    zero = (0,) * rs.rank
+
+    def walk(w, nu=zero):
+        beta = [2 * (x + y) + s for x, y, s in zip(w, nu, shift2)]
+        cap = base if weights is None else \
+            base + sum(map(mul, map(abs, beta), weights)) // den
+        sign = 1
+        for _ in range(cap + 1):
+            for i, root in linear:
+                ci = beta[i]
+                if ci < 0:
+                    beta = [x - ci * r for x, r in zip(beta, root)]
+                    sign = -sign
+                    break
+            else:
+                if affine:
+                    lev = sum(map(mul, comarks, beta))
+                    if lev > level2:
+                        beta = [x + (level2 - lev) * t for x, t in zip(beta, theta)]
+                        sign = -sign
+                        continue
+                    if lev == level2:
+                        return None
+                for i in walls:
+                    if not beta[i]:
+                        return None
+                diff = list(map(sub, beta, shift2))
+                for x in diff:
+                    if x & 1:
+                        raise AssertionError("label is not an integral weight")
+                return tuple([x >> 1 for x in diff]), sign
+        raise AssertionError(
+            f"chamber walk of {tuple(map(add, w, nu))} exceeded its derived cap of "
+            f"{cap} reflections (walls {walls}, doubled level {level2})")
+
+    def signed_sum(terms, nu=zero, scale=1, out=None):
+        if out is None:
+            out = {}
+        for w, c in terms.items():
+            red = walk(w, nu)
+            if red is not None:
+                lab, sign = red
+                v = out.get(lab, 0) + sign * scale * c
+                if v:
+                    out[lab] = v
+                else:
+                    out.pop(lab, None)
+        return out
+
+    return ChamberWalk(walk, signed_sum)
+
+
+def rho_walk(rs: RootSystem, level2=None) -> ChamberWalk:
+    """The kernel of w + rho under the Weyl group, or, with level2, under
+    the affine Weyl group at level level2 / 2 (Kac-Walton folding)."""
+    return chamber_walk(rs, tuple(range(rs.rank)), (2,) * rs.rank, level2)
 
 
 def alcove_weights(rs: RootSystem, k: int) -> list:

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, mul, sub
+from operator import mul
 
 from .errors import InputError, InternalLimitError
 from .intlinalg import ZEchelon
 from .repring import VirtualCharacter
-from .rootdata import (RootSystem, alcove_weights, full_weights,
+from .rootdata import (RootSystem, _check_weight, _node_root, alcove_weights,
+                       chamber_walk, full_weights, subsystem_positive_roots,
                        weyl_order_of_type)
 
 
@@ -33,29 +34,6 @@ def face_subset(rs: RootSystem, nodes) -> tuple:
     if len(nodes) == rs.rank + 1:
         raise InputError("the full affine diagram is not a face")
     return nodes
-
-
-def _node_root(rs: RootSystem, i: int):
-    return rs.affine_root if i == 0 else rs.simple_roots[i - 1]
-
-
-@lru_cache(maxsize=None)
-def subsystem_positive_roots(rs: RootSystem, subset: tuple) -> tuple:
-    """Positive roots of the face subsystem, in its own simple system."""
-    simples = {i: _node_root(rs, i) for i in subset}
-    all_roots = set(rs.positive_roots) | {tuple(-x for x in w) for w in rs.positive_roots}
-    found = set(simples.values())
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for s in simples.values():
-                cand = tuple(a + b for a, b in zip(r, s))
-                if cand in all_roots and cand not in found:
-                    found.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return tuple(sorted(found))
 
 
 @lru_cache(maxsize=None)
@@ -231,57 +209,12 @@ def _beta2(rs, subset, w):
     return tuple(2 * x + y for x, y in zip(w, r2))
 
 
-@lru_cache(maxsize=None)
 def _face_walk(rs: RootSystem, subset: tuple, k: int):
-    """Chamber-walk kernel for one validated face and level.
-
-    Binds rho_S, the linear node roots, theta, the comarks and the
-    reflection cap once; the returned function maps a weight w, shifted by
-    an optional weight nu, to what regularize_affine documents for w + nu.
-    One closure per (face, level), no per-weight memo.
-    """
-    r2 = rho2(rs, subset)
-    linear = tuple((i - 1, rs.simple_roots[i - 1]) for i in subset if i != 0)
-    walls = tuple(i for i, _ in linear)
-    affine = 0 in subset
-    theta = rs.highest_root
-    comarks = rs.comarks[1:]
-    k2 = 2 * k
-    limit = 2 * len(subsystem_positive_roots(rs, subset)) + 16
-    zero = (0,) * rs.rank
-
-    def walk(w, nu=zero):
-        beta = [2 * (x + y) + r for x, y, r in zip(w, nu, r2)]
-        sign = 1
-        for _ in range(limit):
-            for i, root in linear:
-                ci = beta[i]
-                if ci < 0:
-                    beta = [x - ci * r for x, r in zip(beta, root)]
-                    sign = -sign
-                    break
-            else:
-                if affine:
-                    lev = sum(map(mul, comarks, beta))
-                    if lev > k2:
-                        beta = [x + (k2 - lev) * t for x, t in zip(beta, theta)]
-                        sign = -sign
-                        continue
-                    if lev == k2:
-                        return None
-                for i in walls:
-                    if not beta[i]:
-                        return None
-                diff = list(map(sub, beta, r2))
-                for x in diff:
-                    if x & 1:
-                        raise AssertionError("label is not an integral weight")
-                return tuple([x >> 1 for x in diff]), sign
-        raise InternalLimitError(
-            f"chamber walk exceeded {limit} reflections for "
-            f"{tuple(map(add, w, nu))} on face {subset} at level {k}")
-
-    return walk
+    """The chamber-walk kernel (rootdata.chamber_walk) of a validated face
+    at level k: the face's linear walls, the shift 2 rho_S, and the affine
+    wall at level k when the face holds node 0."""
+    return chamber_walk(rs, tuple(i - 1 for i in subset if i), rho2(rs, subset),
+                        2 * k if 0 in subset else None)
 
 
 def regularize_affine(rs: RootSystem, subset, k: int, w):
@@ -290,10 +223,10 @@ def regularize_affine(rs: RootSystem, subset, k: int, w):
     Returns None when w + rho_S lies on a reflection wall, otherwise the
     pair (label, sign) with label + rho_S strictly inside the chamber and
     sign the determinant of the linear part of the group element used.
-    Validates the face and runs the cached walk kernel of (face, level);
+    Validates the face and the weight, then runs the face's walk kernel;
     internal callers holding a validated face call that kernel directly.
     """
-    return _face_walk(rs, face_subset(rs, subset), k)(w)
+    return _face_walk(rs, face_subset(rs, subset), k).walk(_check_weight(rs, w))
 
 
 def is_valid_label(rs: RootSystem, subset, k: int, mu) -> bool:
@@ -400,37 +333,16 @@ def _char_weights(rs, c: VirtualCharacter) -> dict:
 def rg_multiply(rs: RootSystem, c: VirtualCharacter, x: TwistedModuleElement) -> TwistedModuleElement:
     """Module action of a virtual character on an invariant-module element."""
     weights = _char_weights(rs, c)
-    walk = _face_walk(rs, face_subset(rs, x.subset), x.level)
+    kernel = _face_walk(rs, face_subset(rs, x.subset), x.level)
     out = {}
     for mu, a in x.terms.items():
-        for nu, m in weights.items():
-            red = walk(mu, nu)
-            if red is None:
-                continue
-            lab, sign = red
-            v = out.get(lab, 0) + a * m * sign
-            if v:
-                out[lab] = v
-            else:
-                out.pop(lab, None)
+        kernel.signed_sum(weights, mu, a, out)
     return TwistedModuleElement(x.subset, x.level, out)
 
 
 def _label_product(rs, subset, k, lam, c):
     """Vector of irrep(lam) acting on the single label c of a validated face."""
-    walk = _face_walk(rs, subset, k)
-    out = {}
-    for nu, m in full_weights(rs, lam).items():
-        red = walk(c, nu)
-        if red is None:
-            continue
-        lab, sign = red
-        v = out.get(lab, 0) + m * sign
-        if v:
-            out[lab] = v
-        else:
-            out.pop(lab, None)
-    return out
+    return _face_walk(rs, subset, k).signed_sum(full_weights(rs, lam), c)
 
 
 class _LabelKeys(dict):
@@ -450,19 +362,26 @@ def _label_key(rs):
     return _LabelKeys(rs).__getitem__
 
 
+def _candidate_rows(rs, subset, k, c, lams, key):
+    """The nonzero product rows irrep(lam) * c, as (lam, row), ascending by
+    leading label: inserted candidate by candidate in this order, the
+    integer elimination stays nearly collision-free."""
+    rows = []
+    for lam in lams:
+        vec = _label_product(rs, subset, k, lam, c)
+        if vec:
+            rows.append((max(map(key, vec)), lam, vec))
+    rows.sort(key=lambda r: r[0])
+    return [(lam, vec) for _, lam, vec in rows]
+
+
 def _product_echelon(rs, subset, k, candidates, lambda_bound, with_meta=False):
     key = _label_key(rs)
     ech = ZEchelon(key)
-    rows = []
+    lams = alcove_weights(rs, lambda_bound)
     for idx, c in enumerate(candidates):
-        for lam in alcove_weights(rs, lambda_bound):
-            vec = _label_product(rs, subset, k, lam, c)
-            if vec:
-                rows.append((max(map(key, vec)), vec, (idx, lam)))
-    # ascending leading order keeps the elimination nearly collision-free
-    rows.sort(key=lambda r: r[0])
-    for _, vec, tag in rows:
-        ech.insert(vec, {tag: 1} if with_meta else None)
+        for lam, vec in _candidate_rows(rs, subset, k, c, lams, key):
+            ech.insert(vec, {(idx, lam): 1} if with_meta else None)
     return ech
 
 
@@ -635,13 +554,7 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, requested):
 
     def add(c):
         chosen.append(c)
-        rows = []
-        for lam in lams:
-            vec = _label_product(rs, subset, k, lam, c)
-            if vec:
-                rows.append((max(map(key, vec)), vec))
-        rows.sort(key=lambda r: r[0])
-        for _, vec in rows:
+        for _, vec in _candidate_rows(rs, subset, k, c, lams, key):
             ech.insert(vec, None)
 
     for s in seeds:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from fusionring.cli import main
@@ -141,3 +142,33 @@ def test_composite_primes_exit_two(capsys):
         code, _, err = run(capsys, ["verify-g2", "--level", "1", "--primes", primes])
         assert code == 2
         assert "prime" in err
+
+
+# SHA-256 of the stdout of each command.  The JSON reports are byte-stable,
+# so a digest changes only when an output does.  verlinde is left out: its
+# float max_abs_deviation depends on the platform's libm.
+GOLDEN_CORPUS = (
+    ("fusion --group G2 --level 3",
+     "27a3744deaf98febc20ac632423e0a143b59359df08d86d71c3cc348afb6775f"),
+    ("census --group E8",
+     "59279b7fe8af08f9ecd60e0e309d15c11b03b89c3f2f4eb53b70b071416b62e3"),
+    ("complex --group A2 --level 2",
+     "ad631db38f0b07b259b665f8ea0c23c9a9df5331412b0201c47b51fe9e998f33"),
+    ("complex --group B3 --level 1",
+     "f8109a2e3840b30f965458337cbfab14399435e7d4bd37ab03d399c21bf127e5"),
+    ("presentation --group A1 --level 3",
+     "9b2557fd805dfc3b3240653113c6837670798776ecc925c1b95ca959e345fb2f"),
+    ("presentation --group B2 --level 1",
+     "660c1590fc8809a919c5b197e9a2c080b779060367c5e51557cb342efca1c8a5"),
+    ("verify-g2 --level 3",
+     "72aac71a3dcd39730c9cd868ef07b66391611a3bca8804c043890a067c1bcb2f"),
+    ("bases-check --group G2",
+     "0c55d5f0e52e85fd90040b1238e2cefd01ce02ccb2a5d711b883adced606337b"),
+)
+
+
+def test_golden_corpus(capsys):
+    for line, digest in GOLDEN_CORPUS:
+        code, out, _ = run(capsys, line.split())
+        assert code == 0, line
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, line

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from fusionring import (FusionElement, InputError, VirtualCharacter,
-                        alcove_weights, fold, fold_weight, fuse_elements,
-                        fusion_product, fusion_table, in_fusion_ideal,
-                        tensor_product, verlinde_numeric_check)
+                        alcove_weights, build_root_system, fold, fold_weight,
+                        fuse_elements, fusion_product, fusion_table,
+                        in_fusion_ideal, tensor_product, verlinde_numeric_check)
 from fusionring.resolution import g2_fusion_ideal_generators
 
 from conftest import random_character
@@ -28,10 +28,57 @@ def a1_fold_oracle(w, k):
 
 def test_a1_fold_against_oracle(a1):
     for k in range(0, 6):
-        for w in range(-1, 25):
+        for w in range(-1, 2001):
             expected = a1_fold_oracle(w, k)
             assert fold_weight(a1, (w,), k) == (
                 None if expected is None else ((expected[0],), expected[1]))
+
+
+def uncapped_fold(rs, w, k):
+    """Reflect w + rho into the level-k alcove one wall at a time, with no
+    cap on the number of reflections: the slow path for fold_weight."""
+    m = k + rs.dual_coxeter
+    v = tuple(x + 1 for x in w)
+    sign = 1
+    while True:
+        for i in range(1, rs.rank + 1):
+            if v[i - 1] < 0:
+                v = rs.reflect(i, v)
+                sign = -sign
+                break
+        else:
+            lev = rs.level(v)
+            if lev > m:
+                v = tuple(x + (m - lev) * t for x, t in zip(v, rs.highest_root))
+                sign = -sign
+                continue
+            if any(x == 0 for x in v) or lev == m:
+                return None
+            return tuple(x - 1 for x in v), sign
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"])
+def test_fold_weight_against_uncapped_loop(name):
+    rs = build_root_system(name)
+    rng = random.Random(37)
+    for _ in range(150):
+        w = tuple(rng.randint(-300, 300) for _ in range(rs.rank))
+        k = rng.randint(0, 4)
+        assert fold_weight(rs, w, k) == uncapped_fold(rs, w, k), (w, k)
+
+
+def test_fold_large_weights(a1, a2, g2):
+    # far outside the alcove: many reflections, all within the derived cap
+    assert not in_fusion_ideal(a1, VirtualCharacter.irrep((1000,)), 0)
+    assert fold_weight(g2, (200, 0), 1) == uncapped_fold(g2, (200, 0), 1)
+    assert fold_weight(a2, (300, 300), 1) == uncapped_fold(a2, (300, 300), 1)
+
+
+def test_fold_validates_level_on_zero(g2):
+    with pytest.raises(InputError):
+        in_fusion_ideal(g2, VirtualCharacter.zero(), -1)
+    with pytest.raises(InputError):
+        fold(g2, VirtualCharacter.zero(), -3)
 
 
 def test_fold_known_ideal_generators(g2):

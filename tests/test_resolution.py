@@ -1,11 +1,14 @@
+from itertools import combinations
+
 import pytest
 
 from fusionring import (InputError, InternalLimitError, VirtualCharacter,
                         build_complex, build_root_system, cokernel_vs_oracle,
-                        d1_component, d_squared_check, extract_presentation,
-                        g2_fusion_ideal_generators, in_fusion_ideal,
-                        verify_presentation)
+                        d1_component, d_squared_check, enumerate_labels,
+                        extract_presentation, g2_fusion_ideal_generators,
+                        in_fusion_ideal, verify_presentation)
 from fusionring.groebner import INFINITE
+from fusionring.resolution import _d_vector
 
 
 def test_complex_ranks(a1, g2):
@@ -61,6 +64,24 @@ def test_d1_input_validation(g2):
         d1_component(g2, (1,), 1, 2, (0, 0))
     with pytest.raises(InputError):
         d1_component(g2, (1, 2), 0, 2, (0, 0))  # target is the full diagram
+
+
+@pytest.mark.parametrize("name,k", [("A3", 1), ("G2", 2)])
+def test_d_vector_matches_d1_component(name, k):
+    # the differential on a label, per coface, against the validated path
+    rs = build_root_system(name)
+    n = rs.rank
+    for size in range(n + 1):
+        for face in combinations(range(n + 1), size):
+            for mu in enumerate_labels(rs, face, k, k + 2 * rs.dual_coxeter):
+                expected = {}
+                for j in range(n + 1):
+                    if j in face or size == n:
+                        continue
+                    red = d1_component(rs, face, j, k, mu)
+                    if red is not None:
+                        expected[tuple(sorted(face + (j,)))] = {red[0]: red[1]}
+                assert _d_vector(rs, face, k, {mu: 1}) == expected, (face, mu)
 
 
 @pytest.mark.parametrize("name,kmax", [("A1", 5), ("A2", 3), ("C2", 3), ("G2", 4)])
