@@ -16,52 +16,19 @@ from .errors import InputError
 from .repring import VirtualCharacter, tensor_product
 from .rootdata import (RootSystem, _check_weight, alcove_weights, rho_walk,
                        weyl_orbit_signed)
+from .sparse import Sparse, addmul
 
 
-class FusionElement:
+class FusionElement(Sparse):
     """Integer combination of level-k alcove weights."""
 
-    __slots__ = ("level", "terms")
+    __slots__ = ("level",)
+    _fields = ("level",)
+    _mismatch = "cannot add fusion elements at different levels"
 
     def __init__(self, level: int, terms=None):
         self.level = level
-        self.terms = {w: c for w, c in dict(terms or {}).items() if c}
-
-    def __add__(self, other):
-        if self.level != other.level:
-            raise InputError("cannot add fusion elements at different levels")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return FusionElement(self.level, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, n: int):
-        return FusionElement(self.level, {w: n * c for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, FusionElement)
-                and self.level == other.level and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.level, tuple(sorted(self.terms.items()))))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return f"FusionElement(k={self.level}, 0)"
-        bits = " + ".join(f"{c}*[{','.join(map(str, w))}]"
-                          for w, c in sorted(self.terms.items()))
-        return f"FusionElement(k={self.level}, {bits})"
-
-    def to_json_dict(self):
-        return {"level": self.level,
-                "terms": [{"weight": list(w), "coeff": c}
-                          for w, c in sorted(self.terms.items())]}
+        super().__init__(terms)
 
 
 def fold_weight(rs: RootSystem, w, k: int):
@@ -104,11 +71,11 @@ def fuse_elements(rs: RootSystem, x: FusionElement, y: FusionElement) -> FusionE
     """Bilinear extension of the fusion product."""
     if x.level != y.level:
         raise InputError("fusion elements live at different levels")
-    out = FusionElement(x.level)
+    out = {}
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
-            out = out + fusion_product(rs, a, b, x.level).scale(ca * cb)
-    return out
+            addmul(out, fusion_product(rs, a, b, x.level).terms, ca * cb)
+    return FusionElement(x.level, out)
 
 
 def fusion_table(rs: RootSystem, k: int) -> dict:

@@ -8,16 +8,7 @@ the inserted rows, and triangular back-reduction decides membership.
 """
 from __future__ import annotations
 
-
-def _addmul(target: dict, source: dict, factor: int):
-    if not factor:
-        return
-    for k, v in source.items():
-        nv = target.get(k, 0) + factor * v
-        if nv:
-            target[k] = nv
-        else:
-            target.pop(k, None)
+from .sparse import addmul
 
 
 class ZEchelon:
@@ -44,8 +35,8 @@ class ZEchelon:
                 return True
             pvec, pmeta = self.rows[col]
             q = vec[col] // pvec[col]
-            _addmul(vec, pvec, -q)
-            _addmul(meta, pmeta, -q)
+            addmul(vec, pvec, -q)
+            addmul(meta, pmeta, -q)
             if col in vec:
                 # remainder is a smaller positive pivot: swap and keep going
                 if vec[col] < 0:
@@ -70,8 +61,8 @@ class ZEchelon:
             if row is None or vec[col] % row[0][col] != 0:
                 break  # this column can never be cleared: not in the lattice
             q = vec[col] // row[0][col]
-            _addmul(vec, row[0], -q)
-            _addmul(combo, row[1], q)
+            addmul(vec, row[0], -q)
+            addmul(combo, row[1], q)
         if want_combination:
             return vec, combo
         return vec

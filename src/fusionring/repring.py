@@ -10,25 +10,15 @@ eliminated one, so the elimination terminates.
 """
 from __future__ import annotations
 
-from .errors import InputError
 from .rootdata import RootSystem, full_weights, rho_walk, weyl_dimension
+from .sparse import Sparse, addmul
 
 
-def _prune(terms):
-    return {k: v for k, v in terms.items() if v}
-
-
-class VirtualCharacter:
+class VirtualCharacter(Sparse):
     """An element of the representation ring in the irreducible basis."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        terms = _prune(dict(terms or {}))
-        for w in terms:
-            if any(x < 0 for x in w):
-                raise InputError(f"virtual character key {w} is not dominant")
-        self.terms = terms
+    __slots__ = ()
+    _negative = "virtual character key {} is not dominant"
 
     @classmethod
     def irrep(cls, weight):
@@ -38,80 +28,16 @@ class VirtualCharacter:
     def zero(cls):
         return cls()
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return VirtualCharacter(out)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return VirtualCharacter({w: -c for w, c in self.terms.items()})
-
-    def scale(self, n: int):
-        return VirtualCharacter({w: n * c for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, VirtualCharacter) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "VirtualCharacter(0)"
-        bits = " + ".join(f"{c}*[{','.join(map(str, w))}]"
-                          for w, c in sorted(self.terms.items()))
-        return f"VirtualCharacter({bits})"
-
-    def to_json_dict(self):
-        return {"terms": [{"weight": list(w), "coeff": c}
-                          for w, c in sorted(self.terms.items())]}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls({tuple(t["weight"]): t["coeff"] for t in d["terms"]})
-
-
-class PolyChar:
+class PolyChar(Sparse):
     """Integer polynomial in the fundamental characters x_1 ... x_n."""
 
-    __slots__ = ("poly",)
+    __slots__ = ()
+    _key = "exponents"
+    _negative = "exponent vector {} has a negative entry"
 
     def __init__(self, poly=None):
-        poly = _prune(dict(poly or {}))
-        for e in poly:
-            if any(x < 0 for x in e):
-                raise InputError(f"exponent vector {e} has a negative entry")
-        self.poly = poly
-
-    def __eq__(self, other):
-        return isinstance(other, PolyChar) and self.poly == other.poly
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.poly.items())))
-
-    def __bool__(self):
-        return bool(self.poly)
-
-    def __repr__(self):
-        if not self.poly:
-            return "PolyChar(0)"
-        bits = " + ".join(f"{c}*x^{e}" for e, c in sorted(self.poly.items()))
-        return f"PolyChar({bits})"
-
-    def to_json_dict(self):
-        return {"terms": [{"exponents": list(e), "coeff": c}
-                          for e, c in sorted(self.poly.items())]}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls({tuple(t["exponents"]): t["coeff"] for t in d["terms"]})
+        super().__init__(poly)
 
 
 def dim_virtual(rs: RootSystem, x: VirtualCharacter) -> int:
@@ -131,8 +57,7 @@ def tensor_product(rs: RootSystem, x: VirtualCharacter, y: VirtualCharacter) -> 
     out = {}
     for lam, a in x.terms.items():
         for nu, b in y.terms.items():
-            for mu, m in _klimyk_pair(rs, lam, nu).items():
-                out[mu] = out.get(mu, 0) + a * b * m
+            addmul(out, _klimyk_pair(rs, lam, nu), a * b)
     return VirtualCharacter(out)
 
 
@@ -172,17 +97,14 @@ def to_polynomial(rs: RootSystem, x: VirtualCharacter) -> PolyChar:
     while rem:
         w = max(rem, key=lambda t: _term_key(rs, t))
         c = rem[w]
-        out[w] = out.get(w, 0) + c
-        for mu, m in monomial_character(rs, w).terms.items():
-            rem[mu] = rem.get(mu, 0) - c * m
-            if rem[mu] == 0:
-                del rem[mu]
+        addmul(out, {w: c})
+        addmul(rem, monomial_character(rs, w).terms, -c)
     return PolyChar(out)
 
 
 def from_polynomial(rs: RootSystem, p: PolyChar) -> VirtualCharacter:
     """Evaluate a polynomial with x_i sent to the i-th fundamental character."""
-    total = VirtualCharacter.zero()
-    for e, c in p.poly.items():
-        total = total + monomial_character(rs, e).scale(c)
-    return total
+    out = {}
+    for e, c in p.terms.items():
+        addmul(out, monomial_character(rs, e).terms, c)
+    return VirtualCharacter(out)

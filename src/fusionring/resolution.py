@@ -286,13 +286,13 @@ def extract_presentation(rs: RootSystem, k: int,
                     f"cannot express d1({g}) over the vertex basis of {vertex} "
                     f"at level {k}: raise lambda_bound (level_bound={level_bound}, "
                     f"lambda_bound={lambda_bound})")
-            coeffs = {}
+            coeffs = {}   # candidate index -> {lam: coefficient}
             for (idx, lam), c in combo.items():
-                coeffs[idx] = coeffs.get(idx, VirtualCharacter.zero()) \
-                    + VirtualCharacter.irrep(lam).scale(c)
+                coeffs.setdefault(idx, {})[lam] = c
             gen = _partial0(rs, g)
             for idx, c_s in coeffs.items():
-                gen = gen - tensor_product(rs, c_s, _partial0(rs, vertex_basis[idx]))
+                gen = gen - tensor_product(rs, VirtualCharacter(c_s),
+                                           _partial0(rs, vertex_basis[idx]))
             if gen:
                 gens.append(gen)
                 emitted += 1
@@ -373,7 +373,7 @@ def verify_presentation(rs: RootSystem, k: int, gens, primes=DEFAULT_PRIMES,
     if not all(membership):
         verdict = "fail"
     elif run_codimension:
-        polys = [to_polynomial(rs, g).poly for g in gens]
+        polys = [to_polynomial(rs, g).terms for g in gens]
         q_gens = [FieldPoly(rs.rank, p, None) for p in polys]
         codim_q = quotient_codimension(q_gens)
         if codim_q != alcove_count:

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from .errors import InputError, InternalLimitError
 from .intlinalg import ZEchelon
@@ -23,6 +24,7 @@ from .repring import VirtualCharacter
 from .rootdata import (RootSystem, _check_weight, _node_root, alcove_weights,
                        chamber_walk, full_weights, subsystem_positive_roots,
                        weyl_order_of_type)
+from .sparse import Sparse, addmul
 
 
 def face_subset(rs: RootSystem, nodes) -> tuple:
@@ -229,6 +231,23 @@ def regularize_affine(rs: RootSystem, subset, k: int, w):
     return _face_walk(rs, face_subset(rs, subset), k).walk(_check_weight(rs, w))
 
 
+def _label_test(rs, subset: tuple, k: int):
+    """is_valid_label of a validated face and level, as an unchecked
+    predicate on labels: mu + rho_S strictly inside the chamber.  Kept
+    apart from is_valid_label, which stays the independent slow path."""
+    r2 = rho2(rs, subset)
+    walls = [(i - 1, r2[i - 1]) for i in subset if i]
+    comarks = rs.comarks[1:]
+    top = 2 * k - rs.level(r2) if 0 in subset else None
+
+    def test(mu):
+        for i, s in walls:
+            if 2 * mu[i] + s <= 0:
+                return False
+        return top is None or 2 * sum(map(mul, comarks, mu)) < top
+    return test
+
+
 def is_valid_label(rs: RootSystem, subset, k: int, mu) -> bool:
     subset = face_subset(rs, subset)
     beta = _beta2(rs, subset, mu)
@@ -253,30 +272,28 @@ def enumerate_labels(rs: RootSystem, subset, k: int, bound: int) -> list:
         lo, hi = k - bound, k
     else:
         lo, hi = -bound, bound
+    valid = _label_test(rs, subset, k)
+    comarks = rs.comarks[1:]
     out = []
-
-    def rec(prefix):
-        if len(prefix) == rs.rank:
-            mu = tuple(prefix)
-            if lo <= rs.level(mu) <= hi and is_valid_label(rs, subset, k, mu):
-                out.append(mu)
-            return
-        for v in range(-bound, bound + 1):
-            rec(prefix + [v])
-
-    rec([])
-    return sorted(out, key=lambda m: (rs.level(m), m))
+    for mu in product(range(-bound, bound + 1), repeat=rs.rank):
+        lev = sum(map(mul, comarks, mu))
+        if lo <= lev <= hi and valid(mu):
+            out.append((lev, mu))
+    out.sort()
+    return [mu for _, mu in out]
 
 
-class TwistedModuleElement:
+class TwistedModuleElement(Sparse):
     """Integer combination of chamber labels for one face and level."""
 
-    __slots__ = ("subset", "level", "terms")
+    __slots__ = ("subset", "level")
+    _fields = ("subset", "level")
+    _mismatch = "cannot add elements of different modules"
 
     def __init__(self, subset, level, terms=None):
         self.subset = tuple(subset)
         self.level = level
-        self.terms = {w: c for w, c in dict(terms or {}).items() if c}
+        super().__init__(terms)
 
     @classmethod
     def label(cls, rs, subset, level, mu):
@@ -286,53 +303,18 @@ class TwistedModuleElement:
             raise InputError(f"{mu} is not a chamber label for face {subset}")
         return cls(subset, level, {mu: 1})
 
-    def __add__(self, other):
-        if (self.subset, self.level) != (other.subset, other.level):
-            raise InputError("cannot add elements of different modules")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return TwistedModuleElement(self.subset, self.level, out)
 
-    def scale(self, n: int):
-        return TwistedModuleElement(self.subset, self.level,
-                                    {w: n * c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return (isinstance(other, TwistedModuleElement)
-                and (self.subset, self.level, self.terms)
-                == (other.subset, other.level, other.terms))
-
-    def __hash__(self):
-        return hash((self.subset, self.level, tuple(sorted(self.terms.items()))))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        bits = " + ".join(f"{c}*[{','.join(map(str, w))}]"
-                          for w, c in sorted(self.terms.items())) or "0"
-        return f"TwistedModuleElement(S={self.subset}, k={self.level}, {bits})"
-
-
-def _char_weights(rs, c: VirtualCharacter) -> dict:
+def char_expansion(rs: RootSystem, c: VirtualCharacter) -> dict:
+    """Weight expansion of a virtual character inside the group ring."""
     out = {}
     for lam, coeff in c.terms.items():
-        for nu, m in full_weights(rs, lam).items():
-            v = out.get(nu, 0) + coeff * m
-            if v:
-                out[nu] = v
-            else:
-                out.pop(nu, None)
+        addmul(out, full_weights(rs, lam), coeff)
     return out
 
 
 def rg_multiply(rs: RootSystem, c: VirtualCharacter, x: TwistedModuleElement) -> TwistedModuleElement:
     """Module action of a virtual character on an invariant-module element."""
-    weights = _char_weights(rs, c)
+    weights = char_expansion(rs, c)
     kernel = _face_walk(rs, face_subset(rs, x.subset), x.level)
     out = {}
     for mu, a in x.terms.items():
@@ -464,35 +446,36 @@ def verify_module_basis(rs: RootSystem, subset, k: int, candidates,
 
 @lru_cache(maxsize=None)
 def translation_weight(rs: RootSystem, subset: tuple) -> tuple:
-    """Integral weight normal to the face: zero on the linear walls of S,
-    level equal to the twist order.  Translation by it identifies the
-    modules at levels k and k + twist_order."""
+    """Integral weight normal to a face through the affine node: zero on
+    the linear walls of S, level equal to the twist order.  Translation by
+    it identifies the modules at levels k and k + twist_order.
+
+    The search grows a box over the free coordinates and keeps the
+    smallest weight (L1 norm, then lexicographic) of the first radius that
+    holds one.  The twist order is the gcd of the free comarks, and the
+    box of radius max comark holds a solution on every face measured (all
+    of A1-A4, B2-B4, C2-C4, D4, D5, G2, F4 and E6-E8); a search past it is
+    a bug and raises AssertionError.
+    """
     subset = face_subset(rs, subset)
+    if 0 not in subset:
+        raise InputError(f"face {subset} does not hold the affine node 0: "
+                         "its module does not depend on the level")
     d = twist_order(rs, subset)
-    fixed = [i - 1 for i in subset if i != 0]
-    free = [j for j in range(rs.rank) if j not in fixed]
-    best = None
-    for radius in range(1, 3 * d + 4):
-        found = []
-
-        def rec(pos, partial):
-            if pos == len(free):
-                vec = [0] * rs.rank
-                for idx, val in zip(free, partial):
-                    vec[idx] = val
-                if rs.level(vec) == d:
-                    found.append(tuple(vec))
-                return
-            for v in range(-radius, radius + 1):
-                rec(pos + 1, partial + [v])
-
-        rec(0, [])
+    free = [j for j in range(rs.rank) if j + 1 not in subset]
+    comarks = [rs.comarks[j + 1] for j in free]
+    cap = max(comarks)
+    for radius in range(1, cap + 1):
+        found = [v for v in product(range(-radius, radius + 1), repeat=len(free))
+                 if sum(map(mul, comarks, v)) == d]
         if found:
-            best = min(found, key=lambda v: (sum(abs(x) for x in v), v))
-            break
-    if best is None:
-        raise InternalLimitError(f"no translation weight found for face {subset}")
-    return best
+            best = min(found, key=lambda v: (sum(map(abs, v)), v))
+            vec = [0] * rs.rank
+            for j, x in zip(free, best):
+                vec[j] = x
+            return tuple(vec)
+    raise AssertionError(
+        f"no translation weight within radius {cap} for face {subset}")
 
 
 def find_module_basis(rs: RootSystem, subset, k: int, seeds=(),
@@ -584,36 +567,22 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, requested):
 # explicit expansions inside the weight-lattice group ring
 
 def laurent_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k_, v in b.items():
-        nv = out.get(k_, 0) + v
-        if nv:
-            out[k_] = nv
-        else:
-            out.pop(k_, None)
-    return out
+    return addmul(dict(a), b)
 
 
 def laurent_scale(a: dict, n: int) -> dict:
-    return {k_: n * v for k_, v in a.items() if n * v}
+    return addmul({}, a, n)
+
+
+def _shifted(a: dict, by) -> dict:
+    return {tuple(map(add, e, by)): c for e, c in a.items()}
 
 
 def laurent_mul(a: dict, b: dict) -> dict:
     out = {}
     for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            nv = out.get(key, 0) + va * vb
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
+        addmul(out, _shifted(b, ka), va)
     return out
-
-
-def char_expansion(rs: RootSystem, c: VirtualCharacter) -> dict:
-    """Weight expansion of a virtual character inside the group ring."""
-    return _char_weights(rs, c)
 
 
 def _affine_group(rs, subset, k):
@@ -670,12 +639,7 @@ def _apply_affine(el, v):
 def _antisymmetrize(rs, subset, k, point2):
     out = {}
     for el, sign in _affine_group(rs, subset, k).items():
-        key = _apply_affine(el, point2)
-        nv = out.get(key, 0) + sign
-        if nv:
-            out[key] = nv
-        else:
-            out.pop(key, None)
+        addmul(out, {_apply_affine(el, point2): sign})
     return out
 
 
@@ -689,15 +653,9 @@ def _laurent_divide_exact(num: dict, den: dict) -> dict:
         shift = tuple(a - b for a, b in zip(top, lead))
         if rem[top] % lead_c:
             raise AssertionError("inexact antisymmetrizer division")
-        q = rem[top] // lead_c
-        quob[shift] = quob.get(shift, 0) + q
-        for e, c in den.items():
-            key = tuple(a + b for a, b in zip(e, shift))
-            nv = rem.get(key, 0) - q * c
-            if nv:
-                rem[key] = nv
-            else:
-                rem.pop(key, None)
+        # every term the step adds is below top, so shift never returns
+        q = quob[shift] = rem[top] // lead_c
+        addmul(rem, _shifted(den, shift), -q)
     return quob
 
 

@@ -77,6 +77,6 @@ def test_random_unstructured_ideals_against_sympy(modulus):
 @pytest.mark.parametrize("modulus", [None, 2, 5, 31])
 def test_g2_generators_against_sympy(g2, modulus):
     for k in range(1, 7):
-        polys = [dict(to_polynomial(g2, g).poly) for g in g2_fusion_ideal_generators(k)]
+        polys = [dict(to_polynomial(g2, g).terms) for g in g2_fusion_ideal_generators(k)]
         ours = buchberger([FieldPoly(2, p, modulus) for p in polys])
         assert ours == _sympy_basis(polys, 2, modulus), k

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -10,8 +11,9 @@ from fusionring import (InputError, InternalLimitError, TwistedModuleElement, Vi
                         full_weights, module_element_expansion,
                         regularize_affine, rg_multiply, rho_S, tensor_product,
                         twist_order, verify_module_basis)
-from fusionring.twisted import (_affine_group, _apply_affine, char_expansion, laurent_add,
-                                laurent_mul, laurent_scale, rho2,
+from fusionring import twisted
+from fusionring.twisted import (_affine_group, _apply_affine, char_expansion, is_valid_label,
+                                laurent_add, laurent_mul, laurent_scale, rho2,
                                 translation_weight)
 
 from conftest import random_character
@@ -322,3 +324,56 @@ def test_found_bases_pass_the_independent_check(name):
 def test_small_lambda_bound_still_fails(g2):
     with pytest.raises(InternalLimitError, match="raise lambda_bound"):
         find_module_basis(g2, (0, 2), 0, lambda_bound=3)
+
+
+@pytest.mark.parametrize("name, levels", [("A2", range(3)), ("B2", range(3)),
+                                          ("G2", range(3)), ("A3", (1,))])
+def test_enumerate_labels_against_brute_force(name, levels):
+    # enumerate_labels validates the face once and tests each point with an
+    # unchecked predicate; the oracle filters the box through the public,
+    # validating is_valid_label
+    rs = build_root_system(name)
+    bound = 3
+    for subset in _proper_faces(rs):
+        for k in levels:
+            lo, hi = (k - bound, k) if 0 in subset else (-bound, bound)
+            box = itertools.product(range(-bound, bound + 1), repeat=rs.rank)
+            expect = sorted((mu for mu in box if lo <= rs.level(mu) <= hi
+                             and is_valid_label(rs, subset, k, mu)),
+                            key=lambda m: (rs.level(m), m))
+            assert enumerate_labels(rs, subset, k, bound) == expect, (subset, k)
+
+
+def test_translation_weight_needs_the_affine_node(g2, a2):
+    # the module of a face without node 0 does not depend on the level; G2
+    # (1,) and (1, 2) have no integral weight of level 1 normal to them
+    for rs, subset in [(g2, (1,)), (g2, (1, 2)), (g2, ()), (a2, (1,))]:
+        with pytest.raises(InputError, match="affine node"):
+            translation_weight(rs, subset)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3",
+                                  "C4", "D4", "D5", "G2", "F4", "E6", "E7", "E8"])
+def test_translation_weight_within_the_comark_radius(name):
+    rs = build_root_system(name)
+    n = rs.rank
+    for r in range(n):
+        for rest in itertools.combinations(range(1, n + 1), r):
+            subset = (0,) + rest
+            delta = translation_weight(rs, subset)
+            free = [j for j in range(n) if j + 1 not in subset]
+            assert rs.level(delta) == twist_order(rs, subset)
+            assert all(delta[j] == 0 for j in range(n) if j not in free)
+            assert max(map(abs, delta)) <= max(rs.comarks[j + 1] for j in free)
+
+
+def test_translation_weight_past_the_radius_is_a_bug(monkeypatch):
+    # G2 face (0,) has free comarks (1, 2): a twist order no weight in the
+    # box of radius 2 reaches makes the search run past it, which is a bug
+    monkeypatch.setattr(twisted, "twist_order", lambda rs, subset: 7 ** 5)
+    translation_weight.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="radius 2"):
+            translation_weight(build_root_system("G2"), (0,))
+    finally:
+        translation_weight.cache_clear()
