@@ -49,6 +49,8 @@ def fold(rs: RootSystem, x: VirtualCharacter, k: int) -> FusionElement:
     """Linear extension of the alcove reduction to virtual characters."""
     if k < 0:
         raise InputError("level must be nonnegative")
+    for w in x.terms:
+        _check_weight(rs, w)
     return FusionElement(k, rho_walk(rs, 2 * (k + rs.dual_coxeter)).signed_sum(x.terms))
 
 

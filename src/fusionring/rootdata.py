@@ -401,9 +401,12 @@ def chamber_walk(rs: RootSystem, walls: tuple, shift2: tuple, level2) -> Chamber
     beta = 2 (w + nu) + shift2 greedily into the open chamber and returns
     None on a wall, else (label, sign) with 2 label + shift2 the chamber
     point and sign the determinant of the linear part used.
-    ``signed_sum(terms, nu=0, scale=1, out=None)`` adds scale * coeff * sign
-    at the label of each weight of a {weight: coeff} map into out (a new
-    dict by default), pruning zeros, and returns out.
+    ``signed_sum(terms, nu=0, scale=1, out=None, table=None)`` adds
+    scale * coeff * sign at the label of each weight of a {weight: coeff}
+    map into out (a new dict by default), pruning zeros, and returns out.
+    Given a table, it reads the walk result of each weight w as table[w]
+    instead of walking w + nu: a mapping that walks its missing keys (see
+    twisted._WalkTable) lets many sums with one shift walk each weight once.
 
     The reflection cap is derived: each greedy reflection removes exactly
     one hyperplane separating the point from the chamber (Humphreys,
@@ -465,11 +468,11 @@ def chamber_walk(rs: RootSystem, walls: tuple, shift2: tuple, level2) -> Chamber
             f"chamber walk of {tuple(map(add, w, nu))} exceeded its derived cap of "
             f"{cap} reflections (walls {walls}, doubled level {level2})")
 
-    def signed_sum(terms, nu=zero, scale=1, out=None):
+    def signed_sum(terms, nu=zero, scale=1, out=None, table=None):
         if out is None:
             out = {}
         for w, c in terms.items():
-            red = walk(w, nu)
+            red = walk(w, nu) if table is None else table[w]
             if red is not None:
                 lab, sign = red
                 v = out.get(lab, 0) + sign * scale * c

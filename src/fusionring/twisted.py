@@ -250,7 +250,7 @@ def _label_test(rs, subset: tuple, k: int):
 
 def is_valid_label(rs: RootSystem, subset, k: int, mu) -> bool:
     subset = face_subset(rs, subset)
-    beta = _beta2(rs, subset, mu)
+    beta = _beta2(rs, subset, _check_weight(rs, mu))
     for i in subset:
         if i != 0 and beta[i - 1] <= 0:
             return False
@@ -314,6 +314,8 @@ def char_expansion(rs: RootSystem, c: VirtualCharacter) -> dict:
 
 def rg_multiply(rs: RootSystem, c: VirtualCharacter, x: TwistedModuleElement) -> TwistedModuleElement:
     """Module action of a virtual character on an invariant-module element."""
+    for w in (*c.terms, *x.terms):
+        _check_weight(rs, w)
     weights = char_expansion(rs, c)
     kernel = _face_walk(rs, face_subset(rs, x.subset), x.level)
     out = {}
@@ -344,13 +346,35 @@ def _label_key(rs):
     return _LabelKeys(rs).__getitem__
 
 
+class _WalkTable(dict):
+    """Walk results of c + nu for one candidate label c, keyed on nu and
+    walked on first lookup."""
+
+    __slots__ = ("walk", "c")
+
+    def __init__(self, walk, c):
+        super().__init__()
+        self.walk = walk
+        self.c = c
+
+    def __missing__(self, nu):
+        red = self[nu] = self.walk(nu, self.c)
+        return red
+
+
 def _candidate_rows(rs, subset, k, c, lams, key):
     """The nonzero product rows irrep(lam) * c, as (lam, row), ascending by
     leading label: inserted candidate by candidate in this order, the
-    integer elimination stays nearly collision-free."""
+    integer elimination stays nearly collision-free.
+
+    The weights of V(lam) overlap across lam, so the rows share one walk
+    table: each c + nu is walked once per call.  The table lives only for
+    this call; a longer-lived one would keep every weight ever walked."""
+    kernel = _face_walk(rs, subset, k)
+    table = _WalkTable(kernel.walk, c)
     rows = []
     for lam in lams:
-        vec = _label_product(rs, subset, k, lam, c)
+        vec = kernel.signed_sum(full_weights(rs, lam), table=table)
         if vec:
             rows.append((max(map(key, vec)), lam, vec))
     rows.sort(key=lambda r: r[0])

@@ -81,6 +81,18 @@ def test_fold_validates_level_on_zero(g2):
         fold(g2, VirtualCharacter.zero(), -3)
 
 
+def test_fold_rejects_a_wrong_weight_length(g2):
+    # the walk zips coordinates: a rank-3 weight used to fold as (1, 0)
+    with pytest.raises(InputError, match="length 3"):
+        fold(g2, VirtualCharacter.irrep((1, 0, 5)), 1)
+
+
+def test_in_fusion_ideal_rejects_a_wrong_weight_length(g2):
+    # used to die with an IndexError inside the walk
+    with pytest.raises(InputError, match="length 1"):
+        in_fusion_ideal(g2, VirtualCharacter.irrep((3,)), 1)
+
+
 def test_fold_known_ideal_generators(g2):
     assert not fold(g2, VirtualCharacter.irrep((3, 0)), 1)
     assert not fold(g2, VirtualCharacter.irrep((0, 1)), 1)

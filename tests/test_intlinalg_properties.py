@@ -1,0 +1,53 @@
+"""Property tests of the integer echelon, drawn by hypothesis: the lattice
+does not depend on the insertion order and absorb_unit leaves it as is."""
+import pytest
+
+from fusionring.intlinalg import ZEchelon
+from fusionring.sparse import addmul
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SMALL = hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                            database=None)
+COLUMNS = range(5)
+
+vectors = st.dictionaries(st.sampled_from(COLUMNS), st.integers(-4, 4), max_size=4)
+row_lists = st.lists(vectors, min_size=1, max_size=6)
+
+
+def _echelon(rows):
+    ech = ZEchelon(lambda col: col)
+    for row in rows:
+        ech.insert(dict(row))
+    return ech
+
+
+@SMALL
+@hypothesis.given(st.data())
+def test_lattice_does_not_depend_on_insertion_order(data):
+    rows = data.draw(row_lists)
+    shuffled = data.draw(st.permutations(rows))
+    probes = data.draw(st.lists(vectors, max_size=8))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                max_size=len(rows)))
+    first, second = _echelon(rows), _echelon(shuffled)
+    for probe in probes + [{col: 1} for col in COLUMNS]:
+        assert first.contains(dict(probe)) == second.contains(dict(probe))
+    member = {}
+    for row, c in zip(rows, coeffs):
+        addmul(member, row, c)
+    assert first.contains(dict(member)) and second.contains(dict(member))
+
+
+@SMALL
+@hypothesis.given(st.data())
+def test_absorb_unit_keeps_the_lattice(data):
+    rows = data.draw(row_lists)
+    cols = data.draw(st.lists(st.sampled_from(COLUMNS), max_size=5))
+    probes = data.draw(st.lists(vectors, max_size=8))
+    fresh, ech = _echelon(rows), _echelon(rows)
+    for col in cols:
+        assert ech.absorb_unit(col) == fresh.contains({col: 1})
+    for probe in probes + [{col: 1} for col in COLUMNS] + list(rows):
+        assert ech.contains(dict(probe)) == fresh.contains(dict(probe))

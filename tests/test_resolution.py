@@ -1,4 +1,5 @@
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, count
 
 import pytest
 
@@ -7,6 +8,7 @@ from fusionring import (InputError, InternalLimitError, VirtualCharacter,
                         d1_component, d_squared_check, enumerate_labels,
                         extract_presentation, g2_fusion_ideal_generators,
                         in_fusion_ideal, verify_presentation)
+from fusionring import twisted
 from fusionring.groebner import INFINITE
 from fusionring.resolution import _d_vector
 
@@ -176,6 +178,42 @@ def test_extract_presentation_g2_level_one(g2):
         assert in_fusion_ideal(g2, gen, 1)
     report = verify_presentation(g2, 1, result.generators, primes=(2, 3, 5))
     assert report.passed
+
+
+# Walks of extract_presentation(G2, 1) through the face kernels: 13 882 in
+# the product rows and 7 in regularize_affine.  Without the per-candidate
+# walk table the product rows made 411 664.
+G2_LEVEL_ONE_WALKS = 13_889
+
+
+def test_extract_walks_each_shifted_weight_once(g2, monkeypatch):
+    # every walk goes through the kernel twisted._face_walk returns; inside
+    # one call of _candidate_rows no candidate c walks the same c + nu twice
+    walks = Counter()
+    build = [None]
+    builds = count()
+    face_walk, candidate_rows = twisted._face_walk, twisted._candidate_rows
+
+    def counted_face_walk(rs, subset, k):
+        kernel = face_walk(rs, subset, k)
+
+        def walk(w, nu=(0,) * rs.rank):
+            walks[build[0], subset, k, tuple(nu), tuple(w)] += 1
+            return kernel.walk(w, nu)
+        return kernel._replace(walk=walk)
+
+    def counted_rows(*args):
+        build[0] = next(builds)
+        try:
+            return candidate_rows(*args)
+        finally:
+            build[0] = None
+
+    monkeypatch.setattr(twisted, "_face_walk", counted_face_walk)
+    monkeypatch.setattr(twisted, "_candidate_rows", counted_rows)
+    extract_presentation(g2, 1)
+    assert max(walks.values()) == 1
+    assert sum(walks.values()) == G2_LEVEL_ONE_WALKS
 
 
 def test_limit_messages_name_the_bound(g2):

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from fusionring import (InputError, InternalLimitError, TwistedModuleElement, VirtualCharacter,
-                        build_root_system, census, centralizer_info,
+                        alcove_weights, build_root_system, census, centralizer_info,
                         enumerate_labels, face_subset, find_module_basis,
                         full_weights, module_element_expansion,
                         regularize_affine, rg_multiply, rho_S, tensor_product,
@@ -186,6 +186,27 @@ def test_parity_periodicity(g2):
             is_valid_label(g2, (0, 1), k + 2, shifted)
 
 
+def test_label_rejects_a_wrong_weight_length(g2):
+    # the torus face has no walls, so a rank-1 label used to pass
+    with pytest.raises(InputError, match="length 1"):
+        TwistedModuleElement.label(g2, (), 0, (1,))
+
+
+def test_is_valid_label_rejects_a_wrong_weight_length(g2):
+    with pytest.raises(InputError, match="length 1"):
+        is_valid_label(g2, (0, 1), 1, (1,))
+
+
+def test_rg_multiply_rejects_a_wrong_weight_length(g2):
+    chi = VirtualCharacter.irrep((1, 0))
+    short = TwistedModuleElement((), 0, {(1,): 1})
+    with pytest.raises(InputError, match="length 1"):
+        rg_multiply(g2, chi, short)
+    with pytest.raises(InputError, match="length 1"):
+        rg_multiply(g2, VirtualCharacter.irrep((1,)),
+                    TwistedModuleElement.label(g2, (), 0, (1, 0)))
+
+
 def test_rg_multiply_unit_and_torus(g2):
     x = TwistedModuleElement.label(g2, (0, 1), 1, (0, 0))
     one = VirtualCharacter.irrep((0, 0))
@@ -326,8 +347,40 @@ def test_small_lambda_bound_still_fails(g2):
         find_module_basis(g2, (0, 2), 0, lambda_bound=3)
 
 
-@pytest.mark.parametrize("name, levels", [("A2", range(3)), ("B2", range(3)),
-                                          ("G2", range(3)), ("A3", (1,))])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_candidate_rows_match_label_products(name):
+    # _candidate_rows reads one walk table per candidate; _label_product
+    # walks every weight of every row afresh and stays the slow path
+    rs = build_root_system(name)
+    key = twisted._label_key(rs)
+    for subset in _proper_faces(rs):
+        for k in range(3):
+            bound = k + rs.dual_coxeter
+            lams = alcove_weights(rs, bound + rs.dual_coxeter + k)
+            for c in find_module_basis(rs, subset, k, level_bound=bound):
+                expect = []
+                for lam in lams:
+                    vec = twisted._label_product(rs, subset, k, lam, c)
+                    if vec:
+                        expect.append((lam, vec))
+                expect.sort(key=lambda row: max(map(key, row[1])))
+                assert twisted._candidate_rows(rs, subset, k, c, lams, key) == expect, \
+                    (subset, k, c)
+
+
+LABEL_WINDOWS = [("A2", range(3)), ("B2", range(3)), ("G2", range(3)), ("A3", (1,))]
+
+
+@pytest.mark.parametrize("name, levels", LABEL_WINDOWS)
+def test_labels_walk_to_themselves(name, levels):
+    rs = build_root_system(name)
+    for subset in _proper_faces(rs):
+        for k in levels:
+            for mu in enumerate_labels(rs, subset, k, 3):
+                assert regularize_affine(rs, subset, k, mu) == (mu, 1), (subset, k)
+
+
+@pytest.mark.parametrize("name, levels", LABEL_WINDOWS)
 def test_enumerate_labels_against_brute_force(name, levels):
     # enumerate_labels validates the face once and tests each point with an
     # unchecked predicate; the oracle filters the box through the public,
