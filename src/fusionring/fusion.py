@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import InputError
 from .repring import VirtualCharacter, tensor_product
@@ -129,19 +130,20 @@ def verlinde_numeric_check(rs: RootSystem, k: int, tol: float = 1e-6) -> Verlind
             total += sign * cmath.exp(-2j * cmath.pi * float(phase))
         return total
 
-    smat = {(a, b): s_entry(a, b) for a in basis for b in basis}
-    vac = (0,) * rs.rank
-    norm = sum(abs(smat[(vac, b)]) ** 2 for b in basis)
+    smat = [[s_entry(a, b) for b in basis] for a in basis]
+    vac = smat[basis.index((0,) * rs.rank)]
+    norm = sum(abs(x) ** 2 for x in vac)
+    conj = [[x.conjugate() for x in row] for row in smat]
     table = fusion_table(rs, k)
     max_dev = 0.0
     checked = 0
-    for a in basis:
-        for b in basis:
+    for a, row_a in zip(basis, smat):
+        for b, row_b in zip(basis, smat):
             exact = table[(a, b)].terms
-            for c in basis:
-                numeric = sum(smat[(a, s)] * smat[(b, s)] * smat[(c, s)].conjugate()
-                              / smat[(vac, s)] for s in basis) / norm
-                dev = abs(numeric - exact.get(c, 0))
+            # S_as S_bs / S_0s does not depend on c
+            ab = [x * y / z for x, y, z in zip(row_a, row_b, vac)]
+            for c, row_c in zip(basis, conj):
+                dev = abs(sum(map(mul, ab, row_c)) / norm - exact.get(c, 0))
                 max_dev = max(max_dev, dev)
                 checked += 1
     return VerlindeReport(group=str(rs.lie_type), level=k, tol=tol,

@@ -5,6 +5,11 @@ ordered by a caller-supplied key; each stored row owns the largest column
 of its support as pivot, with a positive pivot entry.  All row operations
 are unimodular, so the stored rows span exactly the lattice generated by
 the inserted rows, and triangular back-reduction decides membership.
+
+A row may carry a tag vector (meta) that follows every row operation, so
+each stored meta records the stored row as a combination of the inserted
+tags; reduce with want_combination solves over them.  Only insert changes
+the stored rows: reduce and contains read them.
 """
 from __future__ import annotations
 
@@ -62,29 +67,11 @@ class ZEchelon:
                 break  # this column can never be cleared: not in the lattice
             q = vec[col] // row[0][col]
             addmul(vec, row[0], -q)
-            addmul(combo, row[1], q)
+            if want_combination:
+                addmul(combo, row[1], q)
         if want_combination:
             return vec, combo
         return vec
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
-
-    def absorb_unit(self, col) -> bool:
-        """If the unit vector at col lies in the lattice, store it as the
-        pivot row there, reinserting the displaced row's tail.
-
-        Keeps the lattice unchanged while making later reductions through
-        this column trivial.  Only valid when combination metadata is not
-        being tracked.
-        """
-        unit = {col: 1}
-        if not self.contains(unit):
-            return False
-        old = self.rows.pop(col, None)
-        self.rows[col] = (unit, {})
-        if old is not None:
-            tail = dict(old[0])
-            del tail[col]
-            self.insert(tail, None)
-        return True

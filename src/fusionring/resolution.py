@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from operator import sub
 
 from .errors import InputError, InternalLimitError
 from .fusion import in_fusion_ideal
@@ -20,7 +21,7 @@ from .groebner import INFINITE, FieldPoly, check_prime, quotient_codimension
 from .repring import VirtualCharacter, tensor_product, to_polynomial
 from .rootdata import (RootSystem, alcove_weights, rho_walk,
                        shifted_dominant_reduce)
-from .twisted import (_face_walk, _product_echelon, centralizer_info,
+from .twisted import (_face_walk, _search_basis, centralizer_info,
                       enumerate_labels, face_subset, find_module_basis,
                       is_valid_label, regularize_affine)
 
@@ -246,7 +247,9 @@ def extract_presentation(rs: RootSystem, k: int,
     edge labels), the lift set is extended to an edge basis, and each
     extension element g contributes the generator: its full-group induction
     minus the inductions of the lifts weighted by the solution of
-    d1(g) = sum c_s d1(lift_s) over the vertex basis.
+    d1(g) = sum c_s d1(lift_s) over the vertex basis.  The system is solved
+    on the echelon the vertex basis search built and certified, translated
+    to the search's base level.
     """
     if k < 0:
         raise InputError("level must be nonnegative")
@@ -262,9 +265,8 @@ def extract_presentation(rs: RootSystem, k: int,
         vertex = face_subset(rs, tuple(i for i in range(n + 1) if i != j))
         edge = face_subset(rs, tuple(i for i in vertex if i != 0))
         bound += centralizer_info(rs, edge).module_rank
-        vertex_basis = find_module_basis(rs, vertex, k,
-                                         level_bound=level_bound,
-                                         lambda_bound=lambda_bound)
+        vertex_basis, ech, shift = _search_basis(rs, vertex, k, (), level_bound,
+                                                 lambda_bound)
         for b in vertex_basis:
             if not is_valid_label(rs, edge, k, b):
                 raise InternalLimitError(
@@ -272,14 +274,12 @@ def extract_presentation(rs: RootSystem, k: int,
         edge_basis = find_module_basis(rs, edge, k, seeds=vertex_basis,
                                        level_bound=level_bound,
                                        lambda_bound=lambda_bound)
-        ech = _product_echelon(rs, vertex, k, vertex_basis, lambda_bound,
-                               with_meta=True)
         emitted = 0
         for g in edge_basis:
             if g in vertex_basis:
                 continue
             red = regularize_affine(rs, vertex, k, g)
-            target = {} if red is None else {red[0]: red[1]}
+            target = {} if red is None else {tuple(map(sub, red[0], shift)): red[1]}
             residual, combo = ech.reduce(target, want_combination=True)
             if residual:
                 raise InternalLimitError(

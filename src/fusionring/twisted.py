@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import InputError, InternalLimitError
 from .intlinalg import ZEchelon
@@ -381,27 +381,26 @@ def _candidate_rows(rs, subset, k, c, lams, key):
     return [(lam, vec) for _, lam, vec in rows]
 
 
-def _product_echelon(rs, subset, k, candidates, lambda_bound, with_meta=False):
+def _product_echelon(rs, subset, k, candidates, lambda_bound):
     key = _label_key(rs)
     ech = ZEchelon(key)
     lams = alcove_weights(rs, lambda_bound)
-    for idx, c in enumerate(candidates):
-        for lam, vec in _candidate_rows(rs, subset, k, c, lams, key):
-            ech.insert(vec, {(idx, lam): 1} if with_meta else None)
+    for c in candidates:
+        for _, vec in _candidate_rows(rs, subset, k, c, lams, key):
+            ech.insert(vec)
     return ech
 
 
 def _certify_spanning(ech, window):
     """Check that every window label lies in the lattice of ech, the
-    character multiples of the candidates.
+    character multiples of the candidates, and leave ech as it is.
 
-    Labels are certified from the top of the ordering downward, and each
-    certified label is absorbed as a unit pivot, which keeps the integer
-    elimination shallow.  Membership does not depend on the order the rows
-    went in.  Returns the first unreached label, or None.
+    Labels are tested from the top of the ordering downward.  Membership
+    does not depend on the order the rows went in.  Returns the first
+    unreached label, or None.
     """
     for mu in sorted(window, key=ech.col_key, reverse=True):
-        if not ech.absorb_unit(mu):
+        if not ech.contains({mu: 1}):
             return mu
     return None
 
@@ -515,33 +514,40 @@ def find_module_basis(rs: RootSystem, subset, k: int, seeds=(),
     verify_module_basis rebuilds from scratch.
     """
     subset = face_subset(rs, subset)
-    seeds = [tuple(s) for s in seeds]
+    return _search_basis(rs, subset, k, [tuple(s) for s in seeds],
+                         level_bound, lambda_bound)[0]
+
+
+def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound):
+    """The search of find_module_basis on a validated face.
+
+    Returns (basis, echelon, shift).  A face through the affine node is
+    searched at its base level k0 = k mod twist order, which translation by
+    shift identifies with level k; shift is zero on the other faces.  The
+    echelon holds the product rows of basis - shift at level k0, candidate
+    by candidate, each row tagged {(index in basis, lam): 1}, so reducing
+    a level-k label minus shift with want_combination solves over the
+    basis.  The translation fixes the face's linear walls, moves its
+    affine wall by k - k0 and keeps the column order, so these rows are
+    the level-k rows translated."""
+    shift = (0,) * rs.rank
+    k0 = k
     if 0 in subset:
         d = twist_order(rs, subset)
         k0 = k % d
         if k != k0:
-            delta = translation_weight(rs, subset)
-            steps = (k - k0) // d
-            back = [tuple(s - steps * t for s, t in zip(lab, delta)) for lab in seeds]
-            base = _search_basis(rs, subset, k0, back, level_bound, lambda_bound,
-                                 requested=k)
-            return [tuple(b + steps * t for b, t in zip(lab, delta)) for lab in base]
-    return _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, requested=k)
-
-
-def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, requested):
-    """The search of find_module_basis on a validated face at level k;
-    limit messages also name the level the caller requested."""
+            shift = tuple((k - k0) // d * t for t in translation_weight(rs, subset))
+            seeds = [tuple(map(sub, s, shift)) for s in seeds]
     if level_bound is None:
-        level_bound = k + 2 * rs.dual_coxeter
+        level_bound = k0 + 2 * rs.dual_coxeter
     if lambda_bound is None:
-        lambda_bound = level_bound + rs.dual_coxeter + k
-    where = f"face {subset} at level {k}"
-    if requested != k:
-        where += f" (translated from requested level {requested})"
+        lambda_bound = level_bound + rs.dual_coxeter + k0
+    where = f"face {subset} at level {k0}"
+    if k != k0:
+        where += f" (translated from requested level {k})"
     bounds = f"level_bound={level_bound}, lambda_bound={lambda_bound}"
     rank = centralizer_info(rs, subset).module_rank
-    window = enumerate_labels(rs, subset, k, level_bound)
+    window = enumerate_labels(rs, subset, k0, level_bound)
     if seeds:
         center = [Fraction(sum(_beta2(rs, subset, s)[i] for s in seeds), len(seeds))
                   for i in range(rs.rank)]
@@ -559,22 +565,23 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, requested):
     ech = ZEchelon(key)
     lams = alcove_weights(rs, lambda_bound)
 
-    def add(c):
+    def take(c):
+        idx = len(chosen)
         chosen.append(c)
-        for _, vec in _candidate_rows(rs, subset, k, c, lams, key):
-            ech.insert(vec, None)
+        for lam, vec in _candidate_rows(rs, subset, k0, c, lams, key):
+            ech.insert(vec, {(idx, lam): 1})
 
     for s in seeds:
         if ech.contains({s: 1}):
             raise InternalLimitError(
                 f"seed label {s} is dependent on earlier seeds for {where} ({bounds})")
-        add(s)
+        take(s)
     for cand in ordered:
         if len(chosen) == rank:
             break
         if cand in chosen or ech.contains({cand: 1}):
             continue
-        add(cand)
+        take(cand)
     if len(chosen) != rank:
         raise InternalLimitError(
             f"found only {len(chosen)} of {rank} generators for {where}: "
@@ -584,7 +591,7 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, requested):
         raise InternalLimitError(
             f"candidate set {chosen} fails to span label {missed} on {where}: "
             f"too few character multiples, raise lambda_bound ({bounds})")
-    return chosen
+    return [tuple(map(add, c, shift)) for c in chosen], ech, shift
 
 
 # ---------------------------------------------------------------------------

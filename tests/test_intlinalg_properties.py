@@ -1,5 +1,6 @@
 """Property tests of the integer echelon, drawn by hypothesis: the lattice
-does not depend on the insertion order and absorb_unit leaves it as is."""
+does not depend on the insertion order, and tagged rows solve for the
+combination of inserted rows that reaches a probe."""
 import pytest
 
 from fusionring.intlinalg import ZEchelon
@@ -42,12 +43,21 @@ def test_lattice_does_not_depend_on_insertion_order(data):
 
 @SMALL
 @hypothesis.given(st.data())
-def test_absorb_unit_keeps_the_lattice(data):
+def test_tagged_rows_give_the_combination(data):
     rows = data.draw(row_lists)
-    cols = data.draw(st.lists(st.sampled_from(COLUMNS), max_size=5))
-    probes = data.draw(st.lists(vectors, max_size=8))
-    fresh, ech = _echelon(rows), _echelon(rows)
-    for col in cols:
-        assert ech.absorb_unit(col) == fresh.contains({col: 1})
-    for probe in probes + [{col: 1} for col in COLUMNS] + list(rows):
-        assert ech.contains(dict(probe)) == fresh.contains(dict(probe))
+    probe = data.draw(vectors)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                max_size=len(rows)))
+    ech = ZEchelon(lambda col: col)
+    for i, row in enumerate(rows):
+        ech.insert(dict(row), {i: 1})
+    member = {}
+    for row, c in zip(rows, coeffs):
+        addmul(member, row, c)
+    for vec in (probe, member):
+        residual, combo = ech.reduce(dict(vec), want_combination=True)
+        total = dict(residual)
+        for i, c in combo.items():
+            addmul(total, rows[i], c)
+        assert total == {col: v for col, v in vec.items() if v}
+    assert not ech.reduce(dict(member))

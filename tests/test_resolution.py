@@ -4,10 +4,11 @@ from itertools import combinations, count
 import pytest
 
 from fusionring import (InputError, InternalLimitError, VirtualCharacter,
-                        build_complex, build_root_system, cokernel_vs_oracle,
-                        d1_component, d_squared_check, enumerate_labels,
-                        extract_presentation, g2_fusion_ideal_generators,
-                        in_fusion_ideal, verify_presentation)
+                        build_complex, build_root_system, centralizer_info,
+                        cokernel_vs_oracle, d1_component, d_squared_check,
+                        enumerate_labels, extract_presentation,
+                        g2_fusion_ideal_generators, in_fusion_ideal,
+                        verify_presentation)
 from fusionring import twisted
 from fusionring.groebner import INFINITE
 from fusionring.resolution import _d_vector
@@ -180,10 +181,10 @@ def test_extract_presentation_g2_level_one(g2):
     assert report.passed
 
 
-# Walks of extract_presentation(G2, 1) through the face kernels: 13 882 in
+# Walks of extract_presentation(G2, 1) through the face kernels: 10 727 in
 # the product rows and 7 in regularize_affine.  Without the per-candidate
 # walk table the product rows made 411 664.
-G2_LEVEL_ONE_WALKS = 13_889
+G2_LEVEL_ONE_WALKS = 10_734
 
 
 def test_extract_walks_each_shifted_weight_once(g2, monkeypatch):
@@ -214,6 +215,28 @@ def test_extract_walks_each_shifted_weight_once(g2, monkeypatch):
     extract_presentation(g2, 1)
     assert max(walks.values()) == 1
     assert sum(walks.values()) == G2_LEVEL_ONE_WALKS
+
+
+@pytest.mark.parametrize("name, k, builds", [("G2", 1, 17), ("A2", 3, 8)])
+def test_extract_builds_each_candidate_once(name, k, builds, monkeypatch):
+    # the lifts are solved on the echelons of the vertex searches, so the
+    # rows of a chosen candidate are built once, by the search choosing it
+    rs = build_root_system(name)
+    n = rs.rank
+    ranks = sum(centralizer_info(rs, [i for i in range(n + 1) if i != j]).module_rank
+                + centralizer_info(rs, [i for i in range(1, n + 1) if i != j]).module_rank
+                for j in range(1, n + 1))
+    assert ranks == builds
+    calls = []
+    candidate_rows = twisted._candidate_rows
+
+    def counted_rows(*args):
+        calls.append(args)
+        return candidate_rows(*args)
+
+    monkeypatch.setattr(twisted, "_candidate_rows", counted_rows)
+    extract_presentation(rs, k)
+    assert len(calls) == builds
 
 
 def test_limit_messages_name_the_bound(g2):

@@ -1,7 +1,9 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 
 import pytest
 
@@ -12,6 +14,7 @@ from fusionring import (InputError, InternalLimitError, TwistedModuleElement, Vi
                         regularize_affine, rg_multiply, rho_S, tensor_product,
                         twist_order, verify_module_basis)
 from fusionring import twisted
+from fusionring.intlinalg import ZEchelon
 from fusionring.twisted import (_affine_group, _apply_affine, char_expansion, is_valid_label,
                                 laurent_add, laurent_mul, laurent_scale, rho2,
                                 translation_weight)
@@ -366,6 +369,57 @@ def test_candidate_rows_match_label_products(name):
                 expect.sort(key=lambda row: max(map(key, row[1])))
                 assert twisted._candidate_rows(rs, subset, k, c, lams, key) == expect, \
                     (subset, k, c)
+
+
+# (group, top level, searches translated to a lower base level) over the
+# vertex faces extract_presentation solves on: those through node 0
+VERTEX_LEVELS = [("A2", 3, 6), ("B2", 2, 4), ("G2", 4, 7)]
+
+
+@pytest.mark.parametrize("name, top, translated", VERTEX_LEVELS)
+def test_search_echelon_is_the_translated_level_echelon(name, top, translated):
+    # extract_presentation solves its lifts on the echelon _search_basis
+    # built at the base level; moved up by shift it must be the echelon of
+    # the level-k rows, row for row and tag for tag, and solve alike
+    rs = build_root_system(name)
+    key = twisted._label_key(rs)
+    n = rs.rank
+    moved = 0
+    for j in range(1, n + 1):
+        vertex = face_subset(rs, [i for i in range(n + 1) if i != j])
+        for k in range(top + 1):
+            level_bound = k + 2 * rs.dual_coxeter
+            lambda_bound = level_bound + rs.dual_coxeter + k
+            basis, ech, shift = twisted._search_basis(rs, vertex, k, (), level_bound,
+                                                      lambda_bound)
+            moved += any(shift)
+            lams = alcove_weights(rs, lambda_bound)
+            rebuilt = ZEchelon(key)
+            for idx, c in enumerate(basis):
+                for lam, vec in twisted._candidate_rows(rs, vertex, k, c, lams, key):
+                    rebuilt.insert(vec, {(idx, lam): 1})
+
+            def up(vec):
+                return {tuple(map(add, mu, shift)): v for mu, v in vec.items()}
+
+            assert {tuple(map(add, col, shift)): (up(vec), meta)
+                    for col, (vec, meta) in ech.rows.items()} == rebuilt.rows, (vertex, k)
+            for mu in enumerate_labels(rs, vertex, k, level_bound):
+                residual, combo = ech.reduce({tuple(map(sub, mu, shift)): 1}, True)
+                assert (up(residual), combo) == rebuilt.reduce({mu: 1}, True), (vertex, k, mu)
+    assert moved == translated
+
+
+def test_certification_leaves_the_echelon_as_it_is(g2):
+    # fresh echelons: the search has already certified the one it returns
+    subset = (0, 2)
+    basis = find_module_basis(g2, subset, 0)
+    window = enumerate_labels(g2, subset, 0, 2 * g2.dual_coxeter)
+    for candidates, spans in ((basis, True), (basis[:-1], False)):
+        ech = twisted._product_echelon(g2, subset, 0, candidates, 3 * g2.dual_coxeter)
+        snapshot = copy.deepcopy(ech.rows)
+        assert (twisted._certify_spanning(ech, window) is None) == spans
+        assert ech.rows == snapshot
 
 
 LABEL_WINDOWS = [("A2", range(3)), ("B2", range(3)), ("G2", range(3)), ("A3", (1,))]
