@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import InputError
-from .repring import VirtualCharacter, tensor_product
-from .rootdata import (RootSystem, _check_weight, alcove_weights, rho_walk,
+from .repring import VirtualCharacter
+from .rootdata import (RootSystem, _WalkTable, _check_weight, _integer_form,
+                       alcove_weights, full_weights, rho_walk,
                        weyl_orbit_signed)
 from .sparse import Sparse, addmul
 
@@ -32,27 +33,31 @@ class FusionElement(Sparse):
         super().__init__(terms)
 
 
+def _fold_kernel(rs: RootSystem, k: int):
+    """The kernel of the affine Weyl group at k + h_vee (rootdata.rho_walk),
+    after checking the level."""
+    if k < 0:
+        raise InputError("level must be nonnegative")
+    return rho_walk(rs, 2 * (k + rs.dual_coxeter))
+
+
 def fold_weight(rs: RootSystem, w, k: int):
     """Reduce one weight to the level-k alcove under the shifted action.
 
     Returns None when w + rho hits a wall, else (alcove weight, sign).
-    Validates the level and the weight, then runs the kernel of the affine
-    Weyl group at k + h_vee (rootdata.rho_walk).  Its reflection cap is
-    derived from the weight, so every input reduces; see
+    Validates the level and the weight, then runs the fold kernel.  Its
+    reflection cap is derived from the weight, so every input reduces; see
     rootdata.chamber_walk for the bound.
     """
-    if k < 0:
-        raise InputError("level must be nonnegative")
-    return rho_walk(rs, 2 * (k + rs.dual_coxeter)).walk(_check_weight(rs, w))
+    return _fold_kernel(rs, k).walk(_check_weight(rs, w))
 
 
 def fold(rs: RootSystem, x: VirtualCharacter, k: int) -> FusionElement:
     """Linear extension of the alcove reduction to virtual characters."""
-    if k < 0:
-        raise InputError("level must be nonnegative")
+    kernel = _fold_kernel(rs, k)
     for w in x.terms:
         _check_weight(rs, w)
-    return FusionElement(k, rho_walk(rs, 2 * (k + rs.dual_coxeter)).signed_sum(x.terms))
+    return FusionElement(k, kernel.signed_sum(x.terms))
 
 
 def in_fusion_ideal(rs: RootSystem, x: VirtualCharacter, k: int) -> bool:
@@ -60,14 +65,26 @@ def in_fusion_ideal(rs: RootSystem, x: VirtualCharacter, k: int) -> bool:
     return not fold(rs, x, k)
 
 
+def _factor_key(rs: RootSystem):
+    """Order on highest weights: fewer weights first, ties by the tuple."""
+    return lambda w: (len(full_weights(rs, w)), w)
+
+
 def fusion_product(rs: RootSystem, a, b, k: int) -> FusionElement:
-    """Fusion product of two alcove weights at level k."""
-    a, b = tuple(a), tuple(b)
+    """Fusion product of two alcove weights at level k.
+
+    Folding is invariant under the finite Weyl group, so the fold of
+    V(a) x V(b) is the sum over the weights nu of the factor p with fewer
+    weights of m_p(nu) * fold(s + nu), s the other factor: one affine walk
+    per weight of p, with no tensor product in between.
+    """
+    kernel = _fold_kernel(rs, k)
+    a, b = _check_weight(rs, a), _check_weight(rs, b)
     for w in (a, b):
         if not rs.is_dominant(w) or rs.level(w) > k:
             raise InputError(f"weight {w} is outside the level-{k} alcove")
-    tensor = tensor_product(rs, VirtualCharacter.irrep(a), VirtualCharacter.irrep(b))
-    return fold(rs, tensor, k)
+    p, s = sorted((a, b), key=_factor_key(rs))
+    return FusionElement(k, kernel.signed_sum(full_weights(rs, p), s))
 
 
 def fuse_elements(rs: RootSystem, x: FusionElement, y: FusionElement) -> FusionElement:
@@ -82,15 +99,23 @@ def fuse_elements(rs: RootSystem, x: FusionElement, y: FusionElement) -> FusionE
 
 
 def fusion_table(rs: RootSystem, k: int) -> dict:
-    """All pairwise fusion products, keyed by ordered weight pairs."""
+    """All pairwise fusion products, keyed by ordered weight pairs.
+
+    Each product s * p is fusion_product's sum over the weights of p with
+    s shifted in, for p at or before s in the order of _factor_key.  The
+    products with one shift s share a walk table (nu to the fold of s + nu),
+    so each s + nu is walked once; the table is dropped when s is done.
+    """
+    kernel = _fold_kernel(rs, k)
     basis = alcove_weights(rs, k)
-    results = {(a, b): fusion_product(rs, a, b, k)
-               for a in basis for b in basis if a <= b}
-    table = {}
-    for a in basis:
-        for b in basis:
-            table[(a, b)] = results[(a, b) if a <= b else (b, a)]
-    return table
+    order = sorted(basis, key=_factor_key(rs))
+    products = {}
+    for i, s in enumerate(order):
+        table = _WalkTable(kernel.walk, s)
+        for p in order[:i + 1]:
+            products[p, s] = products[s, p] = FusionElement(
+                k, kernel.signed_sum(full_weights(rs, p), table=table))
+    return {(a, b): products[a, b] for a in basis for b in basis}
 
 
 @dataclass
@@ -108,29 +133,44 @@ class VerlindeReport:
                 "entries_checked": self.entries_checked, "passed": self.passed}
 
 
+def _s_matrix(rs: RootSystem, basis: list, k: int) -> list:
+    """Unnormalized S-matrix rows over the basis: S_ab is the alternating
+    exponential sum over the signed Weyl orbit of a + rho at b + rho.
+
+    The pairings run on integers: with (G, D) from _integer_form, the phase
+    (v, b + rho) / (k + h_vee) is the integer v . G (b + rho) truly divided
+    by D (k + h_vee), the same correctly rounded double as the exact
+    fraction's.
+    """
+    gram, den = _integer_form(rs)
+    dm = den * (k + rs.dual_coxeter)
+    cols = [[sum(map(mul, row, b)) + sum(row) for row in gram] for b in basis]
+
+    def s_entry(orbit, col):
+        total = 0j
+        for v, sign in orbit:
+            total += sign * cmath.exp(-2j * cmath.pi * (sum(map(mul, v, col)) / dm))
+        return total
+
+    rows = []
+    for a in basis:
+        orbit = weyl_orbit_signed(rs, tuple(x + 1 for x in a))
+        rows.append([s_entry(orbit, col) for col in cols])
+    return rows
+
+
 def verlinde_numeric_check(rs: RootSystem, k: int, tol: float = 1e-6) -> VerlindeReport:
     """Compare exact fusion coefficients with the numeric Verlinde formula.
 
-    The unnormalized S-matrix entries are alternating exponential sums over
-    the Weyl orbit of lambda + rho evaluated at mu + rho over k + h_vee; the
-    normalization is fixed by unitarity of the vacuum row.  Advisory only:
-    no exact result depends on this check.
+    The unnormalized S-matrix entries (_s_matrix) are alternating
+    exponential sums over the Weyl orbit of lambda + rho evaluated at
+    mu + rho over k + h_vee; the normalization is fixed by unitarity of the
+    vacuum row.  Advisory only: no exact result depends on this check.
     """
     if tol <= 0:
         raise InputError("tolerance must be positive")
     basis = alcove_weights(rs, k)
-    m = k + rs.dual_coxeter
-    orbits = {a: weyl_orbit_signed(rs, tuple(x + 1 for x in a)) for a in basis}
-
-    def s_entry(a, b):
-        b_rho = tuple(x + 1 for x in b)
-        total = 0j
-        for v, sign in orbits[a]:
-            phase = rs.form_pair(v, b_rho) / m
-            total += sign * cmath.exp(-2j * cmath.pi * float(phase))
-        return total
-
-    smat = [[s_entry(a, b) for b in basis] for a in basis]
+    smat = _s_matrix(rs, basis, k)
     vac = smat[basis.index((0,) * rs.rank)]
     norm = sum(abs(x) ** 2 for x in vac)
     conj = [[x.conjugate() for x in row] for row in smat]

@@ -405,8 +405,8 @@ def chamber_walk(rs: RootSystem, walls: tuple, shift2: tuple, level2) -> Chamber
     scale * coeff * sign at the label of each weight of a {weight: coeff}
     map into out (a new dict by default), pruning zeros, and returns out.
     Given a table, it reads the walk result of each weight w as table[w]
-    instead of walking w + nu: a mapping that walks its missing keys (see
-    twisted._WalkTable) lets many sums with one shift walk each weight once.
+    instead of walking w + nu: a rootdata._WalkTable, which walks its
+    missing keys, lets many sums with one shift walk each weight once.
 
     The reflection cap is derived: each greedy reflection removes exactly
     one hyperplane separating the point from the chamber (Humphreys,
@@ -485,6 +485,24 @@ def chamber_walk(rs: RootSystem, walls: tuple, shift2: tuple, level2) -> Chamber
     return ChamberWalk(walk, signed_sum)
 
 
+class _WalkTable(dict):
+    """Walk results of shift + nu for one fixed weight shift, keyed on nu
+    and walked on first lookup; the table argument of
+    ChamberWalk.signed_sum.  Its owner drops it with the sums that share
+    the shift: a longer-lived table would keep every weight ever walked."""
+
+    __slots__ = ("walk", "shift")
+
+    def __init__(self, walk, shift):
+        super().__init__()
+        self.walk = walk
+        self.shift = shift
+
+    def __missing__(self, nu):
+        red = self[nu] = self.walk(nu, self.shift)
+        return red
+
+
 def rho_walk(rs: RootSystem, level2=None) -> ChamberWalk:
     """The kernel of w + rho under the Weyl group, or, with level2, under
     the affine Weyl group at level level2 / 2 (Kac-Walton folding)."""
@@ -512,13 +530,13 @@ def alcove_weights(rs: RootSystem, k: int) -> list:
 
 @lru_cache(maxsize=None)
 def _integer_form(rs: RootSystem) -> tuple:
-    """The form scaled by the least common denominator D of its entries: an
-    integer matrix G with D * (v, w) = v . G w."""
+    """(G, D): the form scaled by the least common denominator D of its
+    entries, an integer matrix G with D * (v, w) = v . G w."""
     den = 1
     for row in rs.form:
         for x in row:
             den = lcm(den, x.denominator)
-    return tuple(tuple(int(x * den) for x in row) for row in rs.form)
+    return tuple(tuple(int(x * den) for x in row) for row in rs.form), den
 
 
 @lru_cache(maxsize=None)
@@ -535,7 +553,7 @@ def _dominant_multiplicities(rs: RootSystem, highest: Weight) -> dict:
     """
     n = rs.rank
     lam = highest
-    gram = _integer_form(rs)
+    gram, _ = _integer_form(rs)
 
     def norm(v):
         return sum(v[i] * sum(g * x for g, x in zip(gram[i], v)) for i in range(n) if v[i])

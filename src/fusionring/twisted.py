@@ -21,9 +21,9 @@ from operator import add, mul, sub
 from .errors import InputError, InternalLimitError
 from .intlinalg import ZEchelon
 from .repring import VirtualCharacter
-from .rootdata import (RootSystem, _check_weight, _node_root, alcove_weights,
-                       chamber_walk, full_weights, subsystem_positive_roots,
-                       weyl_order_of_type)
+from .rootdata import (RootSystem, _WalkTable, _check_weight, _node_root,
+                       alcove_weights, chamber_walk, full_weights,
+                       subsystem_positive_roots, weyl_order_of_type)
 from .sparse import Sparse, addmul
 
 
@@ -344,22 +344,6 @@ class _LabelKeys(dict):
 def _label_key(rs):
     # a bound dict lookup: no Python frame once a label has been seen
     return _LabelKeys(rs).__getitem__
-
-
-class _WalkTable(dict):
-    """Walk results of c + nu for one candidate label c, keyed on nu and
-    walked on first lookup."""
-
-    __slots__ = ("walk", "c")
-
-    def __init__(self, walk, c):
-        super().__init__()
-        self.walk = walk
-        self.c = c
-
-    def __missing__(self, nu):
-        red = self[nu] = self.walk(nu, self.c)
-        return red
 
 
 def _candidate_rows(rs, subset, k, c, lams, key):

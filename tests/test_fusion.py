@@ -1,4 +1,6 @@
+import cmath
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,7 +8,9 @@ from fusionring import (FusionElement, InputError, VirtualCharacter,
                         alcove_weights, build_root_system, fold, fold_weight,
                         fuse_elements, fusion_product, fusion_table,
                         in_fusion_ideal, tensor_product, verlinde_numeric_check)
+from fusionring import fusion
 from fusionring.resolution import g2_fusion_ideal_generators
+from fusionring.rootdata import weyl_orbit_signed
 
 from conftest import random_character
 
@@ -112,6 +116,60 @@ def test_fusion_product_examples(g2, a1):
         fusion_product(g2, (3, 0), (0, 0), 1)
 
 
+def test_fusion_product_rejects_a_wrong_weight_length(g2):
+    # used to die with an IndexError inside the alcove check
+    with pytest.raises(InputError, match="length 1"):
+        fusion_product(g2, (1,), (0, 0), 1)
+
+
+def test_fusion_product_checks_the_level_first(g2):
+    # used to report (0, 0) as outside the level -1 alcove
+    with pytest.raises(InputError, match="level must be nonnegative"):
+        fusion_product(g2, (0, 0), (0, 0), -1)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C2", "G2"])
+def test_fusion_table_matches_fold_of_tensor_product(name):
+    # the direct formula and the shared walk tables against the slow path:
+    # a Klimyk tensor product, then a fold of every constituent
+    rs = build_root_system(name)
+    irrep = VirtualCharacter.irrep
+    for k in range(4):
+        table = fusion_table(rs, k)
+        basis = alcove_weights(rs, k)
+        assert set(table) == {(a, b) for a in basis for b in basis}
+        for (a, b), product in table.items():
+            expected = fold(rs, tensor_product(rs, irrep(a), irrep(b)), k)
+            assert product == expected, (k, a, b)
+            assert fusion_product(rs, a, b, k) == expected, (k, a, b)
+
+
+# Folds of fusion_table(G2, 4): one per shifted weight s + nu, over the
+# shifts s and the weights nu of the factors at or before s.  Products
+# folded one tensor constituent at a time made about 184 times as many
+# at k = 10.
+G2_LEVEL_FOUR_FOLDS = 267
+
+
+def test_fusion_table_folds_each_shifted_weight_once(g2, monkeypatch):
+    # every fold goes through the kernel fusion._fold_kernel returns
+    walks = Counter()
+    fold_kernel = fusion._fold_kernel
+
+    def counted_fold_kernel(rs, k):
+        kernel = fold_kernel(rs, k)
+
+        def walk(w, nu=(0,) * rs.rank):
+            walks[k, tuple(nu), tuple(w)] += 1
+            return kernel.walk(w, nu)
+        return kernel._replace(walk=walk)
+
+    monkeypatch.setattr(fusion, "_fold_kernel", counted_fold_kernel)
+    fusion_table(g2, 4)
+    assert max(walks.values()) == 1
+    assert sum(walks.values()) == G2_LEVEL_FOUR_FOLDS
+
+
 def test_in_fusion_ideal(g2):
     for gen in g2_fusion_ideal_generators(1):
         assert in_fusion_ideal(g2, gen, 1)
@@ -192,3 +250,32 @@ def test_verlinde_numeric(name, kmax, request):
         assert report.passed
         if k == 0:
             assert report.max_abs_deviation < 1e-12
+
+
+def fraction_s_matrix(rs, basis, k):
+    """S-matrix rows with exact Fraction pairings: the slow path for the
+    integer phases of fusion._s_matrix."""
+    m = k + rs.dual_coxeter
+    rows = []
+    for a in basis:
+        orbit = weyl_orbit_signed(rs, tuple(x + 1 for x in a))
+        row = []
+        for b in basis:
+            b_rho = tuple(x + 1 for x in b)
+            total = 0j
+            for v, sign in orbit:
+                phase = rs.form_pair(v, b_rho) / m
+                total += sign * cmath.exp(-2j * cmath.pi * float(phase))
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+def test_s_matrix_integer_phases_match_fractions(name):
+    # the integer phase is the same correctly rounded double, so every
+    # entry is bit-identical, not merely close
+    rs = build_root_system(name)
+    for k in range(5):
+        basis = alcove_weights(rs, k)
+        assert fusion._s_matrix(rs, basis, k) == fraction_s_matrix(rs, basis, k)
