@@ -19,7 +19,7 @@ from .errors import InputError, InternalLimitError
 from .fusion import in_fusion_ideal
 from .groebner import INFINITE, FieldPoly, check_prime, quotient_codimension
 from .repring import VirtualCharacter, tensor_product, to_polynomial
-from .rootdata import (RootSystem, alcove_weights, rho_walk,
+from .rootdata import (RootSystem, _WalkTable, alcove_weights, rho_walk,
                        shifted_dominant_reduce)
 from .twisted import (_face_walk, _search_basis, centralizer_info,
                       enumerate_labels, face_subset, find_module_basis,
@@ -48,6 +48,8 @@ class ComplexSpec:
 
 def build_complex(rs: RootSystem, k: int) -> ComplexSpec:
     """Enumerate the faces by degree with their free module ranks."""
+    if k < 0:
+        raise InputError("level must be nonnegative")
     n = rs.rank
     degrees = []
     ranks = []
@@ -93,15 +95,25 @@ def _cofaces(rs, subset, k) -> tuple:
     return tuple((t, _face_walk(rs, t, k), (-1) ** s) for s, t in enumerate(targets))
 
 
-def _d_vector(rs, subset, k, vec):
-    """Full differential of a vector on a validated face, per target face;
-    d1_component is the validated path for one label and one target."""
-    out = {}
-    for target, kernel, sign in _cofaces(rs, subset, k):
-        acc = kernel.signed_sum(vec, scale=sign)
-        if acc:
-            out[target] = acc
-    return out
+def _level_bound(rs, k, level_bound):
+    """The truncation of a complex check: k + 2 h^vee by default, never
+    below the level, and the level itself never negative."""
+    if k < 0:
+        raise InputError("level must be nonnegative")
+    if level_bound is None:
+        return k + 2 * rs.dual_coxeter
+    if level_bound < k:
+        raise InputError("level_bound must be at least the level")
+    return level_bound
+
+
+def _add(out, label, c):
+    """out[label] += c for a nonzero c, dropping the label at zero."""
+    v = out.get(label, 0) + c
+    if v:
+        out[label] = v
+    else:
+        del out[label]
 
 
 @dataclass
@@ -122,23 +134,42 @@ class D2Report:
 
 
 def d_squared_check(rs: RootSystem, k: int, level_bound: int | None = None) -> D2Report:
-    """Exhaust d o d = 0 over the truncated bases of all degree-2 faces."""
-    if level_bound is None:
-        level_bound = k + 2 * rs.dual_coxeter
+    """Exhaust d o d = 0 over the truncated bases of all degree-2 faces.
+
+    The first step walks each label directly.  The images of the first step
+    overlap, so the second step reads one walk table per vertex face,
+    shared by every degree-2 face and dropped when the check returns.
+    """
+    level_bound = _level_bound(rs, k, level_bound)
     n = rs.rank
     report = D2Report(group=str(rs.lie_type), level=k, level_bound=level_bound,
                       modules_checked=0, labels_checked=0, passed=True)
     if n < 2:
         return report
+    zero = (0,) * n
+    tables = {}     # vertex face -> walk table of its kernel
+    second = {}     # edge face -> [(vertex face, walk table, sign), ...]
     for face in combinations(range(n + 1), n - 2):
         face = face_subset(rs, face)
         report.modules_checked += 1
+        first = _cofaces(rs, face, k)
+        for target, _, _ in first:
+            second.setdefault(target, [
+                (dest, tables.setdefault(dest, _WalkTable(kernel.walk, zero)), sign)
+                for dest, kernel, sign in _cofaces(rs, target, k)])
         for mu in enumerate_labels(rs, face, k, level_bound):
             report.labels_checked += 1
             total = {}
-            for target, vec in _d_vector(rs, face, k, {mu: 1}).items():
-                for dest, kernel, sign in _cofaces(rs, target, k):
-                    kernel.signed_sum(vec, scale=sign, out=total.setdefault(dest, {}))
+            for target, kernel, sign in first:
+                red = kernel.walk(mu)
+                if red is None:
+                    continue
+                label, c = red[0], red[1] * sign
+                for dest, table, sign2 in second[target]:
+                    bucket = total.setdefault(dest, {})
+                    red = table[label]
+                    if red is not None:
+                        _add(bucket, red[0], red[1] * sign2 * c)
             if any(bucket for bucket in total.values()):
                 report.passed = False
                 report.violations.append((face, mu, total))
@@ -173,12 +204,13 @@ def cokernel_vs_oracle(rs: RootSystem, k: int, level_bound: int | None = None) -
 
     Vertex labels map to the fusion ring by folding; differential images
     must fold to zero and the vertex images must cover the whole alcove.
+    One fold table, dropped when the check returns, serves the vertex
+    labels and the edge images; the edge-to-vertex step walks directly.
     """
-    if level_bound is None:
-        level_bound = k + 2 * rs.dual_coxeter
+    level_bound = _level_bound(rs, k, level_bound)
     n = rs.rank
     alcove = set(alcove_weights(rs, k))
-    fold_walk = rho_walk(rs, 2 * (k + rs.dual_coxeter))
+    fold = _WalkTable(rho_walk(rs, 2 * (k + rs.dual_coxeter)).walk, (0,) * n)
     hit = set()
     edge_ok = True
     first_failure = ""
@@ -187,16 +219,22 @@ def cokernel_vs_oracle(rs: RootSystem, k: int, level_bound: int | None = None) -
         face = face_subset(rs, face)
         for mu in enumerate_labels(rs, face, k, level_bound):
             vertex_count += 1
-            red = fold_walk.walk(mu)
+            red = fold[mu]
             if red is not None:
                 hit.add(red[0])
     for face in combinations(range(n + 1), n - 1):
         face = face_subset(rs, face)
+        cofaces = _cofaces(rs, face, k)
         for mu in enumerate_labels(rs, face, k, level_bound):
             edge_count += 1
             total = {}
-            for vec in _d_vector(rs, face, k, {mu: 1}).values():
-                fold_walk.signed_sum(vec, out=total)
+            for _, kernel, sign in cofaces:
+                red = kernel.walk(mu)
+                if red is None:
+                    continue
+                folded = fold[red[0]]
+                if folded is not None:
+                    _add(total, folded[0], folded[1] * red[1] * sign)
             if total and edge_ok:
                 edge_ok = False
                 first_failure = f"edge {face} label {mu} folds to {total}"

@@ -5,13 +5,13 @@ import pytest
 
 from fusionring import (InputError, InternalLimitError, VirtualCharacter,
                         build_complex, build_root_system, centralizer_info,
-                        cokernel_vs_oracle, d1_component, d_squared_check,
-                        enumerate_labels, extract_presentation,
-                        g2_fusion_ideal_generators, in_fusion_ideal,
+                        alcove_weights, cokernel_vs_oracle, d1_component,
+                        d_squared_check, enumerate_labels, extract_presentation,
+                        fold_weight, g2_fusion_ideal_generators, in_fusion_ideal,
                         verify_presentation)
-from fusionring import twisted
+from fusionring import resolution, twisted
 from fusionring.groebner import INFINITE
-from fusionring.resolution import _d_vector
+from fusionring.resolution import CokernelReport, D2Report
 
 
 def test_complex_ranks(a1, g2):
@@ -70,8 +70,9 @@ def test_d1_input_validation(g2):
 
 
 @pytest.mark.parametrize("name,k", [("A3", 1), ("G2", 2)])
-def test_d_vector_matches_d1_component(name, k):
-    # the differential on a label, per coface, against the validated path
+def test_cofaces_match_d1_component(name, k):
+    # each coface kernel's walk times its simplicial sign, against the
+    # validated path
     rs = build_root_system(name)
     n = rs.rank
     for size in range(n + 1):
@@ -83,8 +84,182 @@ def test_d_vector_matches_d1_component(name, k):
                         continue
                     red = d1_component(rs, face, j, k, mu)
                     if red is not None:
-                        expected[tuple(sorted(face + (j,)))] = {red[0]: red[1]}
-                assert _d_vector(rs, face, k, {mu: 1}) == expected, (face, mu)
+                        expected[tuple(sorted(face + (j,)))] = red
+                found = {}
+                for target, kernel, sign in resolution._cofaces(rs, face, k):
+                    red = kernel.walk(mu)
+                    if red is not None:
+                        found[target] = (red[0], red[1] * sign)
+                assert found == expected, (face, mu)
+
+
+def _image(rs, face, k, mu):
+    # (coface, label, coefficient) of d1 on one label, through the
+    # validated d1_component, cofaces in the order of the complement
+    for j in range(rs.rank + 1):
+        if j not in face:
+            red = d1_component(rs, face, j, k, mu)
+            if red is not None:
+                yield tuple(sorted(face + (j,))), red[0], red[1]
+
+
+def _add(out, label, c):
+    out[label] = out.get(label, 0) + c
+    if not out[label]:
+        del out[label]
+
+
+def _d_squared_by_components(rs, k):
+    # d o d label by label, every step through d1_component and no table
+    level_bound = k + 2 * rs.dual_coxeter
+    n = rs.rank
+    report = D2Report(group=str(rs.lie_type), level=k, level_bound=level_bound,
+                      modules_checked=0, labels_checked=0, passed=True)
+    for face in combinations(range(n + 1), n - 2):
+        report.modules_checked += 1
+        for mu in enumerate_labels(rs, face, k, level_bound):
+            report.labels_checked += 1
+            total = {}
+            for target, label, c in _image(rs, face, k, mu):
+                for j in range(n + 1):
+                    if j in target:
+                        continue
+                    dest = tuple(sorted(target + (j,)))
+                    bucket = total.setdefault(dest, {})
+                    red = d1_component(rs, target, j, k, label)
+                    if red is not None:
+                        _add(bucket, red[0], red[1] * c)
+            if any(total.values()):
+                report.passed = False
+                report.violations.append((face, mu, total))
+    return report
+
+
+def _cokernel_by_components(rs, k):
+    # vertex labels and edge images folded one weight at a time through
+    # fold_weight, the edge images through d1_component
+    level_bound = k + 2 * rs.dual_coxeter
+    n = rs.rank
+    alcove = set(alcove_weights(rs, k))
+    hit = set()
+    vertex_count = edge_count = 0
+    first_failure = ""
+    for face in combinations(range(n + 1), n):
+        for mu in enumerate_labels(rs, face, k, level_bound):
+            vertex_count += 1
+            red = fold_weight(rs, mu, k)
+            if red is not None:
+                hit.add(red[0])
+    for face in combinations(range(n + 1), n - 1):
+        for mu in enumerate_labels(rs, face, k, level_bound):
+            edge_count += 1
+            total = {}
+            for _, label, c in _image(rs, face, k, mu):
+                red = fold_weight(rs, label, k)
+                if red is not None:
+                    _add(total, red[0], red[1] * c)
+            if total and not first_failure:
+                first_failure = f"edge {face} label {mu} folds to {total}"
+    edge_ok = not first_failure
+    spans = hit == alcove
+    if not spans and not first_failure:
+        first_failure = f"alcove weights {sorted(alcove - hit)} were never reached"
+    return CokernelReport(group=str(rs.lie_type), level=k, level_bound=level_bound,
+                          fusion_rank=len(alcove), edge_labels_checked=edge_count,
+                          vertex_labels_checked=vertex_count,
+                          edge_images_vanish=edge_ok, spans_fusion_ring=spans,
+                          passed=edge_ok and spans, first_failure=first_failure)
+
+
+@pytest.mark.parametrize("name,k", [(name, k) for name in ("A2", "B2", "C2", "G2")
+                                    for k in range(3)] + [("A3", 1), ("B3", 1)])
+def test_complex_checks_match_component_path(name, k):
+    # the walk tables of the two checks against the untabled slow path
+    rs = build_root_system(name)
+    assert d_squared_check(rs, k).to_json_dict() == \
+        _d_squared_by_components(rs, k).to_json_dict()
+    assert cokernel_vs_oracle(rs, k).to_json_dict() == \
+        _cokernel_by_components(rs, k).to_json_dict()
+
+
+def test_d_squared_reports_a_flipped_sign(monkeypatch):
+    # one wrong simplicial sign on the edge (0, 2) of A3, read by the
+    # second step through its walk tables, breaks d o d on the two
+    # degree-2 faces inside that edge and nowhere else
+    rs = build_root_system("A3")
+    cofaces = resolution._cofaces
+
+    def flipped(rs_, subset, k):
+        found = cofaces(rs_, subset, k)
+        if subset != (0, 2):
+            return found
+        (target, kernel, sign), *rest = found
+        return ((target, kernel, -sign), *rest)
+
+    monkeypatch.setattr(resolution, "_cofaces", flipped)
+    report = d_squared_check(rs, 1, level_bound=6)
+    assert not report.passed
+    assert report.violations
+    assert {face for face, _, _ in report.violations} == {(0,), (2,)}
+    assert report.to_json_dict()["violations"][0].startswith("((0,), ")
+
+
+# Walks of the two complex checks on G2 at level 2: the second step of
+# d o d reads one walk table per vertex face and the cokernel one fold
+# table, so each (vertex face, label) and each folded weight is walked
+# once.  Walking every image afresh took 1 911 and 1 462.
+G2_LEVEL_TWO_D_SQUARED_WALKS = 1_292
+G2_LEVEL_TWO_COKERNEL_WALKS = 862
+
+
+def test_complex_checks_walk_each_second_image_once(g2, monkeypatch):
+    # every walk goes through a kernel resolution._face_walk (the coface
+    # steps) or resolution.rho_walk (the fold) returns
+    walks = Counter()
+    face_walk, rho_walk = resolution._face_walk, resolution.rho_walk
+
+    def counted(kernel, key):
+        def walk(w, nu=(0,) * g2.rank):
+            walks[key, tuple(nu), tuple(w)] += 1
+            return kernel.walk(w, nu)
+        return kernel._replace(walk=walk)
+
+    monkeypatch.setattr(resolution, "_face_walk",
+                        lambda rs, subset, k: counted(face_walk(rs, subset, k), subset))
+    monkeypatch.setattr(resolution, "rho_walk",
+                        lambda rs, level2=None: counted(rho_walk(rs, level2), "fold"))
+    resolution._cofaces.cache_clear()
+    try:
+        assert d_squared_check(g2, 2).passed
+        assert max(n for (face, _, _), n in walks.items()
+                   if len(face) == g2.rank) == 1
+        assert sum(walks.values()) == G2_LEVEL_TWO_D_SQUARED_WALKS
+        walks.clear()
+        assert cokernel_vs_oracle(g2, 2).passed
+        assert max(n for (key, _, _), n in walks.items() if key == "fold") == 1
+        assert sum(walks.values()) == G2_LEVEL_TWO_COKERNEL_WALKS
+    finally:
+        resolution._cofaces.cache_clear()
+
+
+def test_complex_checks_reject_a_negative_level(a2):
+    with pytest.raises(InputError, match="level must be nonnegative"):
+        d_squared_check(a2, -1)
+
+
+def test_build_complex_rejects_a_negative_level(a2):
+    with pytest.raises(InputError, match="level must be nonnegative"):
+        build_complex(a2, -2)
+
+
+def test_d_squared_rejects_a_level_bound_below_the_level(a2):
+    with pytest.raises(InputError, match="level_bound must be at least the level"):
+        d_squared_check(a2, 2, level_bound=-5)
+
+
+def test_cokernel_rejects_a_level_bound_below_the_level(a2):
+    with pytest.raises(InputError, match="level_bound must be at least the level"):
+        cokernel_vs_oracle(a2, 2, level_bound=1)
 
 
 @pytest.mark.parametrize("name,kmax", [("A1", 5), ("A2", 3), ("C2", 3), ("G2", 4)])
