@@ -21,7 +21,7 @@ from .groebner import INFINITE, FieldPoly, check_prime, quotient_codimension
 from .repring import VirtualCharacter, tensor_product, to_polynomial
 from .rootdata import (RootSystem, _WalkTable, alcove_weights, rho_walk,
                        shifted_dominant_reduce)
-from .twisted import (_face_walk, _search_basis, centralizer_info,
+from .twisted import (_bounds, _face_walk, _search_basis, centralizer_info,
                       enumerate_labels, face_subset, find_module_basis,
                       is_valid_label, regularize_affine)
 
@@ -95,18 +95,6 @@ def _cofaces(rs, subset, k) -> tuple:
     return tuple((t, _face_walk(rs, t, k), (-1) ** s) for s, t in enumerate(targets))
 
 
-def _level_bound(rs, k, level_bound):
-    """The truncation of a complex check: k + 2 h^vee by default, never
-    below the level, and the level itself never negative."""
-    if k < 0:
-        raise InputError("level must be nonnegative")
-    if level_bound is None:
-        return k + 2 * rs.dual_coxeter
-    if level_bound < k:
-        raise InputError("level_bound must be at least the level")
-    return level_bound
-
-
 def _add(out, label, c):
     """out[label] += c for a nonzero c, dropping the label at zero."""
     v = out.get(label, 0) + c
@@ -140,7 +128,7 @@ def d_squared_check(rs: RootSystem, k: int, level_bound: int | None = None) -> D
     overlap, so the second step reads one walk table per vertex face,
     shared by every degree-2 face and dropped when the check returns.
     """
-    level_bound = _level_bound(rs, k, level_bound)
+    level_bound = _bounds(rs, k, level_bound)[0]
     n = rs.rank
     report = D2Report(group=str(rs.lie_type), level=k, level_bound=level_bound,
                       modules_checked=0, labels_checked=0, passed=True)
@@ -207,7 +195,7 @@ def cokernel_vs_oracle(rs: RootSystem, k: int, level_bound: int | None = None) -
     One fold table, dropped when the check returns, serves the vertex
     labels and the edge images; the edge-to-vertex step walks directly.
     """
-    level_bound = _level_bound(rs, k, level_bound)
+    level_bound = _bounds(rs, k, level_bound)[0]
     n = rs.rank
     alcove = set(alcove_weights(rs, k))
     fold = _WalkTable(rho_walk(rs, 2 * (k + rs.dual_coxeter)).walk, (0,) * n)
@@ -289,12 +277,7 @@ def extract_presentation(rs: RootSystem, k: int,
     on the echelon the vertex basis search built and certified, translated
     to the search's base level.
     """
-    if k < 0:
-        raise InputError("level must be nonnegative")
-    if level_bound is None:
-        level_bound = k + 2 * rs.dual_coxeter
-    if lambda_bound is None:
-        lambda_bound = level_bound + rs.dual_coxeter + k
+    level_bound, lambda_bound = _bounds(rs, k, level_bound, lambda_bound)
     n = rs.rank
     gens: list[VirtualCharacter] = []
     per_edge = {}
@@ -305,10 +288,11 @@ def extract_presentation(rs: RootSystem, k: int,
         bound += centralizer_info(rs, edge).module_rank
         vertex_basis, ech, shift = _search_basis(rs, vertex, k, (), level_bound,
                                                  lambda_bound)
+        # a vertex label is an edge label: the edge has no affine wall, and
+        # rho_vertex and rho_edge both pair to 1 with each simple coroot of it
         for b in vertex_basis:
             if not is_valid_label(rs, edge, k, b):
-                raise InternalLimitError(
-                    f"vertex basis label {b} is not an edge label for {edge}")
+                raise AssertionError(f"vertex basis label {b} is not a label of {edge}")
         edge_basis = find_module_basis(rs, edge, k, seeds=vertex_basis,
                                        level_bound=level_bound,
                                        lambda_bound=lambda_bound)

@@ -298,18 +298,7 @@ def _check_weight(rs: RootSystem, w):
 def weyl_orbit(rs: RootSystem, w) -> list:
     """Full Weyl orbit of a weight, sorted for reproducibility."""
     w = _check_weight(rs, w)
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(1, rs.rank + 1):
-                u = rs.reflect(i, v)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return sorted(seen)
+    return sorted(reflection_orbit(rs, tuple(range(rs.rank)), None, w))
 
 
 def weyl_orbit_signed(rs: RootSystem, w) -> list:
@@ -317,19 +306,7 @@ def weyl_orbit_signed(rs: RootSystem, w) -> list:
     w = _check_weight(rs, w)
     if not all(x > 0 for x in w):
         raise InputError("signed orbit requires a strictly dominant weight")
-    seen = {w: 1}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            s = seen[v]
-            for i in range(1, rs.rank + 1):
-                u = rs.reflect(i, v)
-                if u not in seen:
-                    seen[u] = -s
-                    nxt.append(u)
-        frontier = nxt
-    return sorted(seen.items())
+    return sorted(reflection_orbit(rs, tuple(range(rs.rank)), None, w).items())
 
 
 def _dominant(rs: RootSystem, v):
@@ -483,6 +460,42 @@ def chamber_walk(rs: RootSystem, walls: tuple, shift2: tuple, level2) -> Chamber
         return out
 
     return ChamberWalk(walk, signed_sum)
+
+
+def reflection_orbit(rs: RootSystem, walls: tuple, level2, point) -> dict:
+    """The orbit of a point under one finite reflection group, as
+    {image: sign}.
+
+    The group is described as in chamber_walk: the simple reflections at
+    the 0-based linear walls and, unless level2 is None, the reflection in
+    the affine wall where the level equals level2 (a face passes its
+    doubled point and twice its level).  It must be finite: no affine
+    wall, or a proper face.  The search runs breadth first from the point,
+    which gets sign 1, and each new image gets the opposite sign of the
+    image it was reached from.  On a regular point the orbit is a copy of
+    the group and each sign is the determinant of the linear part of the
+    element used; on a wall the signs mean nothing.
+    """
+    gens = [(i, rs.simple_roots[i]) for i in walls]
+    if level2 is not None:
+        gens.append((None, rs.highest_root))
+    comarks = rs.comarks[1:]
+    point = tuple(point)
+    orbit = {point: 1}
+    frontier = [point]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            sign = -orbit[v]
+            for i, root in gens:
+                c = v[i] if i is not None else sum(map(mul, comarks, v)) - level2
+                if c:
+                    u = tuple([x - c * r for x, r in zip(v, root)])
+                    if u not in orbit:
+                        orbit[u] = sign
+                        nxt.append(u)
+        frontier = nxt
+    return orbit
 
 
 class _WalkTable(dict):

@@ -23,7 +23,8 @@ from .intlinalg import ZEchelon
 from .repring import VirtualCharacter
 from .rootdata import (RootSystem, _WalkTable, _check_weight, _node_root,
                        alcove_weights, chamber_walk, full_weights,
-                       subsystem_positive_roots, weyl_order_of_type)
+                       reflection_orbit, subsystem_positive_roots,
+                       weyl_order_of_type)
 from .sparse import Sparse, addmul
 
 
@@ -259,6 +260,30 @@ def is_valid_label(rs: RootSystem, subset, k: int, mu) -> bool:
     return True
 
 
+def _bounds(rs, k, level_bound=None, lambda_bound=None, base=None):
+    """Check the level and the truncation bounds and fill in their defaults.
+
+    The level must be nonnegative, an explicit level_bound at least the
+    level and an explicit lambda_bound nonnegative.  By default
+    level_bound = base + 2 h^vee and lambda_bound = level_bound + h^vee +
+    base, where base is the level unless a search passes its base level.
+    Returns (level_bound, lambda_bound).
+    """
+    if k < 0:
+        raise InputError("level must be nonnegative")
+    if base is None:
+        base = k
+    if level_bound is None:
+        level_bound = base + 2 * rs.dual_coxeter
+    elif level_bound < k:
+        raise InputError("level_bound must be at least the level")
+    if lambda_bound is None:
+        lambda_bound = level_bound + rs.dual_coxeter + base
+    elif lambda_bound < 0:
+        raise InputError("lambda_bound must be nonnegative")
+    return level_bound, lambda_bound
+
+
 def enumerate_labels(rs: RootSystem, subset, k: int, bound: int) -> list:
     """Truncated label window for one face module.
 
@@ -268,6 +293,7 @@ def enumerate_labels(rs: RootSystem, subset, k: int, bound: int) -> list:
     symmetric level band.
     """
     subset = face_subset(rs, subset)
+    _bounds(rs, k)
     if 0 in subset:
         lo, hi = k - bound, k
     else:
@@ -423,10 +449,7 @@ def verify_module_basis(rs: RootSystem, subset, k: int, candidates,
     """
     subset = face_subset(rs, subset)
     candidates = tuple(tuple(c) for c in candidates)
-    if level_bound is None:
-        level_bound = k + 2 * rs.dual_coxeter
-    if lambda_bound is None:
-        lambda_bound = level_bound + rs.dual_coxeter + k
+    level_bound, lambda_bound = _bounds(rs, k, level_bound, lambda_bound)
     info = centralizer_info(rs, subset)
     report = BasisReport(group=str(rs.lie_type), subset=subset, level=k,
                          candidates=candidates, module_rank=info.module_rank,
@@ -498,8 +521,11 @@ def find_module_basis(rs: RootSystem, subset, k: int, seeds=(),
     verify_module_basis rebuilds from scratch.
     """
     subset = face_subset(rs, subset)
-    return _search_basis(rs, subset, k, [tuple(s) for s in seeds],
-                         level_bound, lambda_bound)[0]
+    seeds = [tuple(s) for s in seeds]
+    for s in seeds:
+        if not is_valid_label(rs, subset, k, s):
+            raise InputError(f"seed {s} is not a chamber label for face {subset}")
+    return _search_basis(rs, subset, k, seeds, level_bound, lambda_bound)[0]
 
 
 def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound):
@@ -514,18 +540,13 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound):
     basis.  The translation fixes the face's linear walls, moves its
     affine wall by k - k0 and keeps the column order, so these rows are
     the level-k rows translated."""
+    d = twist_order(rs, subset) if 0 in subset else 0
+    k0 = k % d if d else k
+    level_bound, lambda_bound = _bounds(rs, k, level_bound, lambda_bound, k0)
     shift = (0,) * rs.rank
-    k0 = k
-    if 0 in subset:
-        d = twist_order(rs, subset)
-        k0 = k % d
-        if k != k0:
-            shift = tuple((k - k0) // d * t for t in translation_weight(rs, subset))
-            seeds = [tuple(map(sub, s, shift)) for s in seeds]
-    if level_bound is None:
-        level_bound = k0 + 2 * rs.dual_coxeter
-    if lambda_bound is None:
-        lambda_bound = level_bound + rs.dual_coxeter + k0
+    if k != k0:
+        shift = tuple((k - k0) // d * t for t in translation_weight(rs, subset))
+        seeds = [tuple(map(sub, s, shift)) for s in seeds]
     where = f"face {subset} at level {k0}"
     if k != k0:
         where += f" (translated from requested level {k})"
@@ -557,8 +578,7 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound):
 
     for s in seeds:
         if ech.contains({s: 1}):
-            raise InternalLimitError(
-                f"seed label {s} is dependent on earlier seeds for {where} ({bounds})")
+            raise InputError(f"seed label {s} is dependent on earlier seeds for {where}")
         take(s)
     for cand in ordered:
         if len(chosen) == rank:
@@ -600,62 +620,14 @@ def laurent_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _affine_group(rs, subset, k):
-    """All elements of the face reflection group as affine maps on doubled
-    coordinates, each with the determinant of its linear part."""
-    n = rs.rank
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    gens = []
-    for i in subset:
-        if i == 0:
-            theta = rs.highest_root
-            com = rs.comarks[1:]
-            mat = tuple(tuple((1 if a == j else 0) - com[a] * theta[j]
-                              for j in range(n)) for a in range(n))
-            gens.append((mat, tuple(2 * k * t for t in theta)))
-        else:
-            root = rs.simple_roots[i - 1]
-            mat = tuple(tuple((1 if a == j else 0) - (1 if a == i - 1 else 0) * root[j]
-                              for j in range(n)) for a in range(n))
-            gens.append((mat, (0,) * n))
-
-    def compose(g, h):
-        """Apply h first, then g."""
-        mh, th = h
-        mg, tg = g
-        mat = tuple(tuple(sum(mh[a][b] * mg[b][j] for b in range(n)) for j in range(n))
-                    for a in range(n))
-        tr = tuple(sum(th[b] * mg[b][j] for b in range(n)) + tg[j] for j in range(n))
-        return mat, tr
-
-    elements = {(ident, (0,) * n): 1}
-    frontier = list(elements)
-    while frontier:
-        nxt = []
-        for el in frontier:
-            s = elements[el]
-            for g in gens:
-                new = compose(g, el)
-                if new not in elements:
-                    elements[new] = -s
-                    nxt.append(new)
-                if len(elements) > 4096:
-                    raise InternalLimitError("face reflection group is too large")
-        frontier = nxt
-    return elements
-
-
-def _apply_affine(el, v):
-    mat, tr = el
-    n = len(v)
-    return tuple(sum(v[a] * mat[a][j] for a in range(n)) + tr[j] for j in range(n))
-
-
 def _antisymmetrize(rs, subset, k, point2):
-    out = {}
-    for el, sign in _affine_group(rs, subset, k).items():
-        addmul(out, {_apply_affine(el, point2): sign})
-    return out
+    """Signed orbit of a regular doubled point under the level-k face group,
+    which must be a copy of the group."""
+    orbit = reflection_orbit(rs, tuple(i - 1 for i in subset if i),
+                             2 * k if 0 in subset else None, point2)
+    if len(orbit) != centralizer_info(rs, subset).weyl_order:
+        raise AssertionError(f"orbit of {point2} is not as large as the group of {subset}")
+    return orbit
 
 
 def _laurent_divide_exact(num: dict, den: dict) -> dict:
@@ -677,10 +649,13 @@ def _laurent_divide_exact(num: dict, den: dict) -> dict:
 def module_element_expansion(rs: RootSystem, subset, k: int, mu) -> dict:
     """Group-ring expansion of a basis label: the antisymmetrization of
     mu + rho_S over the level-k face group divided by the level-0
-    antisymmetrization of rho_S."""
+    antisymmetrization of rho_S.  A label on a wall of the face group
+    antisymmetrizes to zero, so its expansion is empty."""
     subset = face_subset(rs, subset)
-    point = _beta2(rs, subset, tuple(mu))
-    num = _antisymmetrize(rs, subset, k, point)
+    mu = _check_weight(rs, mu)
+    if _face_walk(rs, subset, k).walk(mu) is None:
+        return {}
+    num = _antisymmetrize(rs, subset, k, _beta2(rs, subset, mu))
     den = _antisymmetrize(rs, subset, 0, rho2(rs, subset))
     quo2 = _laurent_divide_exact(num, den)
     out = {}

@@ -1,6 +1,9 @@
+import ast
 import hashlib
 import json
+from pathlib import Path
 
+import fusionring
 from fusionring.cli import main
 
 
@@ -135,6 +138,21 @@ def test_internal_limit_exits_three(capsys, monkeypatch):
     code, _, err = run(capsys, ["presentation", "--group", "A1", "--level", "2"])
     assert code == 3
     assert "internal limit" in err
+
+
+def test_internal_limit_messages_name_a_bound():
+    # exit 3 means a configured limit was hit, so every message names the
+    # bound to raise; anything else is an input error or a bug
+    raised = 0
+    for path in sorted(Path(fusionring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "InternalLimitError":
+                raised += 1
+                message = " ".join(map(ast.unparse, node.args))
+                assert "level_bound" in message or "lambda_bound" in message, \
+                    f"{path.name}:{node.lineno}"
+    assert raised
 
 
 def test_composite_primes_exit_two(capsys):

@@ -262,6 +262,11 @@ def test_cokernel_rejects_a_level_bound_below_the_level(a2):
         cokernel_vs_oracle(a2, 2, level_bound=1)
 
 
+def test_extract_rejects_a_level_bound_below_the_level(a1):
+    with pytest.raises(InputError, match="level_bound must be at least the level"):
+        extract_presentation(a1, 2, level_bound=1)
+
+
 @pytest.mark.parametrize("name,kmax", [("A1", 5), ("A2", 3), ("C2", 3), ("G2", 4)])
 def test_d_squared_vanishes(name, kmax, request):
     rs = build_root_system(name)

@@ -6,7 +6,8 @@ import pytest
 from fusionring import (InputError, LieType, alcove_weights, build_root_system,
                         full_weights, shifted_dominant_reduce,
                         weight_multiplicity, weyl_dimension, weyl_orbit)
-from fusionring.rootdata import _dominant_multiplicities, dominant_reduce
+from fusionring.rootdata import (_dominant_multiplicities, dominant_reduce,
+                                 weyl_orbit_signed)
 
 ALL_SMALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -135,6 +136,33 @@ def test_orbit_examples(g2, a1):
     norm = g2.form_pair((1, 0), (1, 0))
     assert all(g2.form_pair(w, w) == norm for w in orbit)
     assert weyl_orbit(a1, (3,)) == [(-3,), (3,)]
+
+
+def _orbit_by_reflect(rs, w):
+    """{image: sign} of w under the Weyl group, breadth first over rs.reflect."""
+    seen = {w: 1}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(1, rs.rank + 1):
+                u = rs.reflect(i, v)
+                if u not in seen:
+                    seen[u] = -seen[v]
+                    nxt.append(u)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3",
+                                  "C4", "D4", "F4", "G2"])
+def test_weyl_orbits_match_the_reflect_search(name):
+    rs = build_root_system(name)
+    for lam in alcove_weights(rs, 3):
+        assert weyl_orbit(rs, lam) == sorted(_orbit_by_reflect(rs, lam)), lam
+        regular = tuple(x + 1 for x in lam)
+        assert weyl_orbit_signed(rs, regular) == \
+            sorted(_orbit_by_reflect(rs, regular).items()), lam
 
 
 @pytest.mark.parametrize("name", ["G2", "A2", "C2", "B3"])

@@ -15,9 +15,9 @@ from fusionring import (InputError, InternalLimitError, TwistedModuleElement, Vi
                         twist_order, verify_module_basis)
 from fusionring import twisted
 from fusionring.intlinalg import ZEchelon
-from fusionring.twisted import (_affine_group, _apply_affine, char_expansion, is_valid_label,
-                                laurent_add, laurent_mul, laurent_scale, rho2,
-                                translation_weight)
+from fusionring.rootdata import reflection_orbit
+from fusionring.twisted import (char_expansion, is_valid_label, laurent_add, laurent_mul,
+                                laurent_scale, rho2, translation_weight)
 
 from conftest import random_character
 
@@ -125,11 +125,36 @@ def test_centralizer_rank_factorization(series, rank):
             assert rs.comarks[i] % info.twist_order == 0
 
 
+def _face_orbit(rs, subset, k, w):
+    """The signed orbit of 2 w + 2 rho_S under the level-k face group."""
+    point = tuple(2 * x + y for x, y in zip(w, rho2(rs, subset)))
+    return reflection_orbit(rs, tuple(i - 1 for i in subset if i),
+                            2 * k if 0 in subset else None, point)
+
+
 def test_face_group_order_matches_type(g2):
-    # enumerated affine reflection group sizes agree with the classification
+    # the orbit of a label, a regular point, is as large as the face group,
+    # whose order the type classification gives
     for subset in [(), (1,), (2,), (0,), (0, 1), (0, 2), (1, 2)]:
-        info = centralizer_info(g2, face_subset(g2, subset))
-        assert len(_affine_group(g2, face_subset(g2, subset), 1)) == info.weyl_order
+        subset = face_subset(g2, subset)
+        info = centralizer_info(g2, subset)
+        label = enumerate_labels(g2, subset, 1, 3)[0]
+        assert len(_face_orbit(g2, subset, 1, label)) == info.weyl_order
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4",
+                                  "G2"])
+def test_rho_s_orbit_is_the_face_group(name):
+    # rho_S pairs to 1 with every simple coroot of the face, so 2 rho_S is
+    # regular and its orbit is a copy of the face group at every level
+    rs = build_root_system(name)
+    zero = (0,) * rs.rank
+    for subset in _proper_faces(rs):
+        order = centralizer_info(rs, subset).weyl_order
+        for k in range(3):
+            orbit = _face_orbit(rs, subset, k, zero)
+            assert len(orbit) == order, (subset, k)
+            assert sum(orbit.values()) == (order == 1), (subset, k)
 
 
 def test_regularize_examples(g2, a1):
@@ -221,6 +246,23 @@ def test_rg_multiply_unit_and_torus(g2):
     assert expanded.terms == full_weights(g2, (1, 0))
 
 
+def test_module_element_expansion_checks_the_label(g2):
+    with pytest.raises(InputError, match="length 3"):
+        module_element_expansion(g2, (0, 1), 1, (0, 0, 5))
+
+
+def test_module_element_expansion_of_a_large_face():
+    # the face group has 5040 elements; its orbit has no cap
+    a6 = build_root_system("A6")
+    assert module_element_expansion(a6, range(1, 7), 0, (0,) * 6) == {(0,) * 6: 1}
+
+
+def test_module_element_expansion_on_a_wall(g2):
+    # (0, 1) + rho_S sits on the level-1 affine wall: the sum cancels
+    assert regularize_affine(g2, (0, 1), 1, (0, 1)) is None
+    assert module_element_expansion(g2, (0, 1), 1, (0, 1)) == {}
+
+
 def test_rg_multiply_matches_expansion(g2):
     x = TwistedModuleElement.label(g2, (0, 1), 1, (0, 0))
     chi = VirtualCharacter.irrep((1, 0))
@@ -304,13 +346,11 @@ def _proper_faces(rs):
 
 
 def _walk_by_group(rs, subset, k, w):
-    """The image of 2w + 2 rho_S in the open chamber, found over every
-    element of the face group, with that element's determinant."""
+    """The image of 2w + 2 rho_S in the open chamber, found on its signed
+    orbit under the face group, with the determinant of the element used."""
     r2 = rho2(rs, subset)
-    point = tuple(2 * x + y for x, y in zip(w, r2))
     hits = []
-    for el, sign in _affine_group(rs, subset, k).items():
-        p = _apply_affine(el, point)
+    for p, sign in _face_orbit(rs, subset, k, w).items():
         if all(p[i - 1] > 0 for i in subset if i) and \
                 (0 not in subset or rs.level(p) < 2 * k):
             assert all((x - y) % 2 == 0 for x, y in zip(p, r2))
@@ -348,6 +388,40 @@ def test_found_bases_pass_the_independent_check(name):
 def test_small_lambda_bound_still_fails(g2):
     with pytest.raises(InternalLimitError, match="raise lambda_bound"):
         find_module_basis(g2, (0, 2), 0, lambda_bound=3)
+
+
+def test_basis_calls_reject_a_negative_level(g2):
+    with pytest.raises(InputError, match="level must be nonnegative"):
+        find_module_basis(g2, (0, 2), -1)
+    with pytest.raises(InputError, match="level must be nonnegative"):
+        enumerate_labels(g2, (0, 2), -1, 3)
+
+
+def test_verify_module_basis_rejects_a_level_bound_below_the_level(g2):
+    with pytest.raises(InputError, match="level_bound must be at least the level"):
+        verify_module_basis(g2, (0, 2), 2, ((2, 0), (1, 0)), level_bound=1)
+
+
+def test_find_module_basis_rejects_bad_bounds(g2):
+    # the bound is checked against the requested level, not the base level 0
+    with pytest.raises(InputError, match="level_bound must be at least the level"):
+        find_module_basis(g2, (0, 2), 3, level_bound=2)
+    with pytest.raises(InputError, match="lambda_bound must be nonnegative"):
+        find_module_basis(g2, (0, 2), 0, lambda_bound=-1)
+
+
+def test_find_module_basis_checks_the_seeds(g2):
+    with pytest.raises(InputError, match="length 3"):
+        find_module_basis(g2, (), 0, seeds=[(0, 0, 7)])
+    with pytest.raises(InputError, match="length 1"):
+        find_module_basis(g2, (1,), 0, seeds=[(5,)])
+    # a seed on a wall has zero product rows, which no bound can mend
+    with pytest.raises(InputError, match="not a chamber label"):
+        find_module_basis(g2, (0, 1), 1, seeds=[(0, 1)])
+    # no bound makes a dependent seed independent: more rows only grow
+    # the lattice it lies in
+    with pytest.raises(InputError, match="dependent"):
+        find_module_basis(g2, (0, 2), 0, seeds=[(0, 0), (0, 0)])
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
