@@ -553,100 +553,91 @@ def _integer_form(rs: RootSystem) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _dominant_multiplicities(rs: RootSystem, highest: Weight) -> dict:
-    """Freudenthal multiplicities of the dominant weights of one irrep.
+def full_weights(rs: RootSystem, highest: Weight) -> dict:
+    """Every weight of the irrep with a dominant highest weight lam, with
+    its multiplicity, by Freudenthal's formula on the full weight lattice.
 
-    Runs on exact integers: with G from _integer_form every pairing is
-    scaled by the form's common denominator, and for each positive root
-    alpha the vector G alpha is kept, since (nu, alpha) is linear in nu.
-    Each multiplicity 2 * sum / ((lam + rho)^2 - (mu + rho)^2) must come
-    out as an exact nonnegative integer; anything else raises
+    The dominant mu <= lam are enumerated in a box of simple-root
+    coefficients of lam - mu and taken in increasing height of lam - mu.
+    The multiplicity of mu is
+    2 sum_{alpha > 0} sum_{j >= 1} m(mu + j alpha) (mu + j alpha, alpha)
+    divided by (lam + rho)^2 - (mu + rho)^2.  Every mu + j alpha lies in
+    the orbit of a dominant weight of smaller height, so once a
+    multiplicity is final it is written onto the whole Weyl orbit of mu
+    and each string step is one dict lookup.  A dominant mu <= lam is a
+    weight and the alpha-string through a weight is unbroken (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, sections 21.3
+    and 22.3), so each string stops at its first missing weight.
+
+    The arithmetic is on exact integers: with G from _integer_form every
+    pairing is scaled by the form's common denominator, and (nu, alpha)
+    grows by (alpha, alpha) along the string.  Each quotient must come
+    out as an exact positive integer; anything else raises
     AssertionError.  On weight systems see Moody and Patera, "Fast
     recursion formula for weight multiplicities", Bull. AMS 7 (1982).
+    The input is checked on cache misses only.
     """
+    lam = _check_weight(rs, highest)
+    if not rs.is_dominant(lam):
+        raise InputError("highest weight must be dominant")
     n = rs.rank
-    lam = highest
     gram, _ = _integer_form(rs)
 
     def norm(v):
-        return sum(v[i] * sum(g * x for g, x in zip(gram[i], v)) for i in range(n) if v[i])
+        return sum(x * sum(map(mul, row, v)) for x, row in zip(v, gram) if x)
 
-    norm_top = norm(tuple(x + 1 for x in lam))
-    # box bounds for the simple-root coefficients of lam - mu
-    bounds = []
-    for j in range(n):
-        pairing = sum(lam[i] * rs.form[i][j] for i in range(n))
-        bounds.append(int(pairing / rs.root_lengths[j]))
+    # a dominant mu has nonnegative simple-root coefficients, so those of
+    # lam bound those of lam - mu
+    bounds = [int(sum(x * row[j] for x, row in zip(lam, rs.cartan_inv))) for j in range(n)]
     candidates = []
     cart = rs.cartan
     # box walk keeping mu = lam - sum c_j alpha_j exact at every node
-    stack = [(0, (), list(lam))]
+    stack = [(0, 0, lam)]
     while stack:
-        j, coeffs, mu = stack.pop()
+        j, height, mu = stack.pop()
         if j == n:
             if all(x >= 0 for x in mu):
-                candidates.append((sum(coeffs), coeffs, tuple(mu)))
+                candidates.append((height, mu))
             continue
-        cur = mu
         for c in range(bounds[j] + 1):
-            stack.append((j + 1, coeffs + (c,), list(cur)))
-            cur = [x - r for x, r in zip(cur, cart[j])]
+            stack.append((j + 1, height + c, mu))
+            mu = tuple(map(sub, mu, cart[j]))
     candidates.sort()
-    mults = {}
-    pos = []
-    for alpha, alpha_c in zip(rs.positive_roots, rs.positive_root_coords):
-        g_alpha = tuple(sum(g * a for g, a in zip(row, alpha)) for row in gram)
+    strings = []
+    for alpha in rs.positive_roots:
+        g_alpha = tuple(sum(map(mul, row, alpha)) for row in gram)
         # (alpha, G alpha) is D * (alpha, alpha): the step of (nu, alpha) along alpha
-        pos.append((alpha, alpha_c, g_alpha, sum(a * g for a, g in zip(alpha, g_alpha))))
-    for height, coeffs, mu in candidates:
+        strings.append((alpha, g_alpha, sum(map(mul, alpha, g_alpha))))
+    norm_top = norm(tuple(x + 1 for x in lam))
+    walls = tuple(range(n))
+    out = {}
+    get = out.get
+    for height, mu in candidates:
         if height == 0:
-            mults[mu] = 1
-            continue
-        total = 0
-        for alpha, alpha_c, g_alpha, step in pos:
-            # the alpha-string above mu stays below lam while lam - nu has
-            # nonnegative simple-root coefficients
-            top = min((c // a for c, a in zip(coeffs, alpha_c) if a), default=0)
-            pair = sum(x * g for x, g in zip(mu, g_alpha))
-            nu = mu
-            for _ in range(top):
-                nu = tuple(x + a for x, a in zip(nu, alpha))
-                pair += step
-                m = mults.get(_dominant(rs, nu), 0)
+            val = 1
+        else:
+            total = 0
+            for alpha, g_alpha, step in strings:
+                nu = tuple(map(add, mu, alpha))
+                m = get(nu)
                 if m:
-                    total += m * pair
-        den = norm_top - norm(tuple(x + 1 for x in mu))
-        val, rem = divmod(2 * total, den)
-        if rem or val < 0:
-            raise AssertionError("Freudenthal recursion produced a bad value")
-        if val:
-            mults[mu] = val
-    return mults
+                    pair = sum(map(mul, mu, g_alpha))
+                    while m:
+                        pair += step
+                        total += m * pair
+                        nu = tuple(map(add, nu, alpha))
+                        m = get(nu)
+            val, rem = divmod(2 * total, norm_top - norm(tuple(x + 1 for x in mu)))
+            if rem or val <= 0:
+                raise AssertionError("Freudenthal recursion produced a bad value")
+        out.update(dict.fromkeys(reflection_orbit(rs, walls, None, mu), val))
+    return out
 
 
 def weight_multiplicity(rs: RootSystem, highest, mu) -> int:
-    """Multiplicity of the weight mu in the irrep with the given highest weight."""
-    highest = _check_weight(rs, highest)
-    mu = _check_weight(rs, mu)
-    if not rs.is_dominant(highest):
-        raise InputError("highest weight must be dominant")
-    diff = tuple(a - b for a, b in zip(highest, mu))
-    coeffs = [sum(diff[i] * rs.cartan_inv[i][j] for i in range(rs.rank))
-              for j in range(rs.rank)]
-    if any(c.denominator != 1 or c < 0 for c in coeffs):
-        return 0
-    dom = dominant_reduce(rs, mu)
-    return _dominant_multiplicities(rs, highest).get(dom, 0)
-
-
-@lru_cache(maxsize=None)
-def full_weights(rs: RootSystem, highest: Weight) -> dict:
-    """Every weight of an irrep with its multiplicity."""
-    out = {}
-    for mu, m in _dominant_multiplicities(rs, highest).items():
-        for v in weyl_orbit(rs, mu):
-            out[v] = m
-    return out
+    """Multiplicity of the weight mu in the irrep with the given highest
+    weight: a lookup in its full weight system."""
+    return full_weights(rs, tuple(highest)).get(_check_weight(rs, mu), 0)
 
 
 def weyl_dimension(rs: RootSystem, highest) -> int:

@@ -21,8 +21,8 @@ from operator import add, mul, sub
 from .errors import InputError, InternalLimitError
 from .intlinalg import ZEchelon
 from .repring import VirtualCharacter
-from .rootdata import (RootSystem, _WalkTable, _check_weight, _node_root,
-                       alcove_weights, chamber_walk, full_weights,
+from .rootdata import (RootSystem, _WalkTable, _check_weight, _integer_form,
+                       _node_root, alcove_weights, chamber_walk, full_weights,
                        reflection_orbit, subsystem_positive_roots,
                        weyl_order_of_type)
 from .sparse import Sparse, addmul
@@ -350,11 +350,6 @@ def rg_multiply(rs: RootSystem, c: VirtualCharacter, x: TwistedModuleElement) ->
     return TwistedModuleElement(x.subset, x.level, out)
 
 
-def _label_product(rs, subset, k, lam, c):
-    """Vector of irrep(lam) acting on the single label c of a validated face."""
-    return _face_walk(rs, subset, k).signed_sum(full_weights(rs, lam), c)
-
-
 class _LabelKeys(dict):
     """Column order of label vectors: level, then the label itself."""
 
@@ -528,6 +523,26 @@ def find_module_basis(rs: RootSystem, subset, k: int, seeds=(),
     return _search_basis(rs, subset, k, seeds, level_bound, lambda_bound)[0]
 
 
+def _window_order(rs, subset, window, seeds):
+    """The window sorted by the distance of beta2(mu) from the mean of the
+    seeds' beta2 (from 0 with no seeds), then by level and label.  With
+    n = max(len(seeds), 1) the key pairs n beta2(mu) - sum beta2(seeds)
+    with itself through _integer_form: n^2 D times the squared distance,
+    an integer with the same order and ties."""
+    gram, _ = _integer_form(rs)
+    n = max(len(seeds), 1)
+    total = [0] * rs.rank
+    for s in seeds:
+        total = list(map(add, total, _beta2(rs, subset, s)))
+
+    def key(mu):
+        diff = [n * b - t for b, t in zip(_beta2(rs, subset, mu), total)]
+        dist = sum(x * sum(map(mul, row, diff)) for x, row in zip(diff, gram) if x)
+        return dist, rs.level(mu), mu
+
+    return sorted(window, key=key)
+
+
 def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound):
     """The search of find_module_basis on a validated face.
 
@@ -553,18 +568,7 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound):
     bounds = f"level_bound={level_bound}, lambda_bound={lambda_bound}"
     rank = centralizer_info(rs, subset).module_rank
     window = enumerate_labels(rs, subset, k0, level_bound)
-    if seeds:
-        center = [Fraction(sum(_beta2(rs, subset, s)[i] for s in seeds), len(seeds))
-                  for i in range(rs.rank)]
-    else:
-        center = [Fraction(0)] * rs.rank
-
-    def distance(mu):
-        b = _beta2(rs, subset, mu)
-        diff = [x - c for x, c in zip(b, center)]
-        return rs.form_pair(diff, diff)
-
-    ordered = sorted(window, key=lambda m: (distance(m), rs.level(m), m))
+    ordered = _window_order(rs, subset, window, seeds)
     chosen = []
     key = _label_key(rs)
     ech = ZEchelon(key)
@@ -601,23 +605,8 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound):
 # ---------------------------------------------------------------------------
 # explicit expansions inside the weight-lattice group ring
 
-def laurent_add(a: dict, b: dict) -> dict:
-    return addmul(dict(a), b)
-
-
-def laurent_scale(a: dict, n: int) -> dict:
-    return addmul({}, a, n)
-
-
 def _shifted(a: dict, by) -> dict:
     return {tuple(map(add, e, by)): c for e, c in a.items()}
-
-
-def laurent_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for ka, va in a.items():
-        addmul(out, _shifted(b, ka), va)
-    return out
 
 
 def _antisymmetrize(rs, subset, k, point2):

@@ -1,8 +1,10 @@
 import random
+from operator import add
 
 import pytest
 
 from fusionring import VirtualCharacter, alcove_weights, build_root_system
+from fusionring.sparse import addmul
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +36,20 @@ def random_character(rs, rng: random.Random, level: int = 3, terms: int = 3,
         w = rng.choice(basis)
         out[w] = out.get(w, 0) + rng.randint(-coeff, coeff)
     return VirtualCharacter(out)
+
+
+# Laurent polynomials in the weight-lattice group ring, as {exponent: coeff}
+
+def laurent_add(a: dict, b: dict) -> dict:
+    return addmul(dict(a), b)
+
+
+def laurent_scale(a: dict, n: int) -> dict:
+    return addmul({}, a, n)
+
+
+def laurent_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for ka, va in a.items():
+        addmul(out, {tuple(map(add, e, ka)): c for e, c in b.items()}, va)
+    return out

@@ -6,8 +6,7 @@ import pytest
 from fusionring import (InputError, LieType, alcove_weights, build_root_system,
                         full_weights, shifted_dominant_reduce,
                         weight_multiplicity, weyl_dimension, weyl_orbit)
-from fusionring.rootdata import (_dominant_multiplicities, dominant_reduce,
-                                 weyl_orbit_signed)
+from fusionring.rootdata import dominant_reduce, weyl_orbit_signed
 
 ALL_SMALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -296,9 +295,39 @@ def _small_dominant(rs):
     return sorted(out)
 
 
+def _expanded_fraction_weights(rs, lam):
+    """_fraction_multiplicities written onto every Weyl orbit."""
+    return {v: m for mu, m in _fraction_multiplicities(rs, lam).items()
+            for v in weyl_orbit(rs, mu)}
+
+
 @pytest.mark.parametrize("name", FREUDENTHAL_TYPES)
 def test_integer_freudenthal(name):
     rs = build_root_system(name)
     for lam in _small_dominant(rs):
-        assert _dominant_multiplicities(rs, lam) == _fraction_multiplicities(rs, lam)
-        assert sum(full_weights(rs, lam).values()) == weyl_dimension(rs, lam)
+        weights = full_weights(rs, lam)
+        dominant = {mu: m for mu, m in weights.items() if rs.is_dominant(mu)}
+        assert dominant == _fraction_multiplicities(rs, lam)
+        assert sum(weights.values()) == weyl_dimension(rs, lam)
+
+
+@pytest.mark.parametrize("name", FREUDENTHAL_TYPES)
+def test_full_weights_match_the_expanded_oracle(name):
+    rs = build_root_system(name)
+    for lam in _small_dominant(rs):
+        assert full_weights(rs, lam) == _expanded_fraction_weights(rs, lam), lam
+
+
+@pytest.mark.parametrize("name,level", [("A1", 6), ("A2", 6), ("B2", 6), ("C2", 6),
+                                        ("G2", 6), ("A3", 2), ("B3", 2)])
+def test_full_weights_match_the_oracle_on_the_alcove(name, level):
+    rs = build_root_system(name)
+    for lam in alcove_weights(rs, level):
+        assert full_weights(rs, lam) == _expanded_fraction_weights(rs, lam), lam
+
+
+def test_full_weights_rejects_a_bad_highest_weight(g2):
+    with pytest.raises(InputError, match="dominant"):
+        full_weights(g2, (-1, 0))
+    with pytest.raises(InputError, match="length 1"):
+        full_weights(g2, (1,))

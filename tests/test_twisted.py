@@ -16,10 +16,9 @@ from fusionring import (InputError, InternalLimitError, TwistedModuleElement, Vi
 from fusionring import twisted
 from fusionring.intlinalg import ZEchelon
 from fusionring.rootdata import reflection_orbit
-from fusionring.twisted import (char_expansion, is_valid_label, laurent_add, laurent_mul,
-                                laurent_scale, rho2, translation_weight)
+from fusionring.twisted import char_expansion, is_valid_label, rho2, translation_weight
 
-from conftest import random_character
+from conftest import laurent_add, laurent_mul, laurent_scale, random_character
 
 ALL_SMALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -424,6 +423,11 @@ def test_find_module_basis_checks_the_seeds(g2):
         find_module_basis(g2, (0, 2), 0, seeds=[(0, 0), (0, 0)])
 
 
+def _label_product(rs, subset, k, lam, c):
+    """Vector of irrep(lam) acting on the single label c of a validated face."""
+    return twisted._face_walk(rs, subset, k).signed_sum(full_weights(rs, lam), c)
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_candidate_rows_match_label_products(name):
     # _candidate_rows reads one walk table per candidate; _label_product
@@ -437,12 +441,74 @@ def test_candidate_rows_match_label_products(name):
             for c in find_module_basis(rs, subset, k, level_bound=bound):
                 expect = []
                 for lam in lams:
-                    vec = twisted._label_product(rs, subset, k, lam, c)
+                    vec = _label_product(rs, subset, k, lam, c)
                     if vec:
                         expect.append((lam, vec))
                 expect.sort(key=lambda row: max(map(key, row[1])))
                 assert twisted._candidate_rows(rs, subset, k, c, lams, key) == expect, \
                     (subset, k, c)
+
+
+def _fraction_window_order(rs, subset, window, seeds):
+    """The window order by rational distance from the seeds' centre, kept
+    as the oracle of twisted._window_order."""
+    if seeds:
+        center = [Fraction(sum(twisted._beta2(rs, subset, s)[i] for s in seeds), len(seeds))
+                  for i in range(rs.rank)]
+    else:
+        center = [Fraction(0)] * rs.rank
+
+    def distance(mu):
+        diff = [x - c for x, c in zip(twisted._beta2(rs, subset, mu), center)]
+        return rs.form_pair(diff, diff)
+
+    return sorted(window, key=lambda m: (distance(m), rs.level(m), m))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "C2", "G2", "A3"])
+def test_window_order_matches_the_fraction_distance(name):
+    rs = build_root_system(name)
+    n = rs.rank
+    for k in (1,) if n == 3 else (0, 1, 2):
+        # seeds as extraction passes them: the basis of a vertex through
+        # node 0, the one omitting the least nonaffine node the face lacks
+        vertex_bases = {j: find_module_basis(rs, [i for i in range(n + 1) if i != j], k)
+                        for j in range(1, n + 1)}
+        for subset in _proper_faces(rs):
+            window = enumerate_labels(rs, subset, k, k + 2 * rs.dual_coxeter)
+            j = min(set(range(1, n + 1)) - set(subset), default=1)
+            for seeds in ((), vertex_bases[j]):
+                assert twisted._window_order(rs, subset, window, seeds) == \
+                    _fraction_window_order(rs, subset, window, seeds), (subset, k, seeds)
+
+
+def test_weight_systems_and_search_skip_reduction_and_rational_pairing(g2, monkeypatch):
+    # full_weights reads each string step from its own output, and the
+    # window order pairs on integers: neither reduces a weight to the
+    # dominant chamber nor pairs through the rational form
+    from fusionring import rootdata
+    calls = {"dominant": 0, "form_pair": 0}
+    dominant, form_pair = rootdata._dominant, rootdata.RootSystem.form_pair
+
+    def counted_dominant(*args):
+        calls["dominant"] += 1
+        return dominant(*args)
+
+    def counted_form_pair(*args):
+        calls["form_pair"] += 1
+        return form_pair(*args)
+
+    monkeypatch.setattr(rootdata, "_dominant", counted_dominant)
+    monkeypatch.setattr(rootdata.RootSystem, "form_pair", counted_form_pair)
+    full_weights.cache_clear()
+    assert sum(full_weights(g2, (6, 6)).values()) == 117649   # its dimension, 7^6
+    full_weights.cache_clear()
+    assert len(find_module_basis(g2, (0, 2), 2)) == centralizer_info(g2, (0, 2)).module_rank
+    assert calls == {"dominant": 0, "form_pair": 0}
+    # the counters see calls: the slow paths still go through them
+    rootdata.dominant_reduce(g2, (-1, 0))
+    rootdata.weyl_dimension(g2, (1, 0))
+    assert calls["dominant"] == 1 and calls["form_pair"] > 0
 
 
 # (group, top level, searches translated to a lower base level) over the
