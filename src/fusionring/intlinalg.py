@@ -1,8 +1,8 @@
 """Sparse integer row echelon for lattice-membership and solving.
 
-Rows are dicts mapping hashable column labels to integers.  Columns are
-ordered by a caller-supplied key; each stored row owns the largest column
-of its support as pivot, with a positive pivot entry.  All row operations
+Rows are dicts mapping totally ordered hashable column keys (twisted
+passes int label codes) to integers; each stored row owns the largest
+column of its support as pivot, with a positive pivot entry.  All row operations
 are unimodular, so the stored rows span exactly the lattice generated by
 the inserted rows, and triangular back-reduction decides membership.
 
@@ -19,19 +19,15 @@ from .sparse import addmul
 class ZEchelon:
     """Online integer echelon with optional combination tracking."""
 
-    def __init__(self, col_key):
-        self.col_key = col_key
+    def __init__(self):
         self.rows = {}  # pivot column -> (vector, meta)
-
-    def _pivot_col(self, vec):
-        return max(vec, key=self.col_key) if vec else None
 
     def insert(self, vec, meta=None) -> bool:
         """Add a row to the lattice.  Returns False if it was dependent."""
         vec = {k: v for k, v in vec.items() if v}
         meta = dict(meta or {})
         while vec:
-            col = self._pivot_col(vec)
+            col = max(vec)
             if col not in self.rows:
                 if vec[col] < 0:
                     vec = {k: -v for k, v in vec.items()}
@@ -61,7 +57,7 @@ class ZEchelon:
         vec = {k: v for k, v in vec.items() if v}
         combo = {}
         while vec:
-            col = self._pivot_col(vec)
+            col = max(vec)
             row = self.rows.get(col)
             if row is None or vec[col] % row[0][col] != 0:
                 break  # this column can never be cleared: not in the lattice

@@ -21,9 +21,9 @@ from .groebner import INFINITE, FieldPoly, check_prime, quotient_codimension
 from .repring import VirtualCharacter, tensor_product, to_polynomial
 from .rootdata import (RootSystem, _WalkTable, alcove_weights, rho_walk,
                        shifted_dominant_reduce)
-from .twisted import (_bounds, _face_walk, _search_basis, centralizer_info,
-                      enumerate_labels, face_subset, find_module_basis,
-                      is_valid_label, regularize_affine)
+from .twisted import (_bounds, _check_code_reach, _face_walk, _label_key, _search_basis,
+                      centralizer_info, enumerate_labels, face_subset,
+                      find_module_basis, is_valid_label, regularize_affine)
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -275,10 +275,11 @@ def extract_presentation(rs: RootSystem, k: int,
     minus the inductions of the lifts weighted by the solution of
     d1(g) = sum c_s d1(lift_s) over the vertex basis.  The system is solved
     on the echelon the vertex basis search built and certified, translated
-    to the search's base level.
+    to the search's base level and written on label codes.
     """
     level_bound, lambda_bound = _bounds(rs, k, level_bound, lambda_bound)
     n = rs.rank
+    key = _label_key(rs)
     gens: list[VirtualCharacter] = []
     per_edge = {}
     bound = 0
@@ -300,8 +301,10 @@ def extract_presentation(rs: RootSystem, k: int,
         for g in edge_basis:
             if g in vertex_basis:
                 continue
+            # the target, the walk of g at level k minus shift, walks g - shift at k0
+            _check_code_reach(rs, vertex, k, [tuple(map(sub, g, shift))], level_bound, 0)
             red = regularize_affine(rs, vertex, k, g)
-            target = {} if red is None else {tuple(map(sub, red[0], shift)): red[1]}
+            target = {} if red is None else {key(tuple(map(sub, red[0], shift))): red[1]}
             residual, combo = ech.reduce(target, want_combination=True)
             if residual:
                 raise InternalLimitError(

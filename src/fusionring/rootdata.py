@@ -470,26 +470,39 @@ def reflection_orbit(rs: RootSystem, walls: tuple, level2, point) -> dict:
     the 0-based linear walls and, unless level2 is None, the reflection in
     the affine wall where the level equals level2 (a face passes its
     doubled point and twice its level).  It must be finite: no affine
-    wall, or a proper face.  The search runs breadth first from the point,
-    which gets sign 1, and each new image gets the opposite sign of the
-    image it was reached from.  On a regular point the orbit is a copy of
-    the group and each sign is the determinant of the linear part of the
-    element used; on a wall the signs mean nothing.
+    wall, or a proper face.  The point walks greedily into the closed
+    chamber (coordinates >= 0 at the linear walls, level <= level2); the
+    orbit grows from there breadth first, across only the walls an image
+    lies strictly on the chamber side of.  A reflection that moves an image
+    changes the length of its minimal element by one (Deodhar's lemma), so
+    all paths from the point to an image, which gets sign 1, share a parity.
+    On a regular point the orbit is a copy of the group and each sign is
+    the determinant of the linear part of the element used; on a wall the
+    signs mean nothing.
     """
+    # as a reflection in -theta, the affine one is v - c root like the
+    # linear ones, with c = level2 - level(v) > 0 on the chamber side
     gens = [(i, rs.simple_roots[i]) for i in walls]
     if level2 is not None:
-        gens.append((None, rs.highest_root))
+        gens.append((None, rs.affine_root))
     comarks = rs.comarks[1:]
-    point = tuple(point)
-    orbit = {point: 1}
-    frontier = [point]
+    v, sign = tuple(point), 1
+    while True:
+        for i, root in gens:
+            c = v[i] if i is not None else level2 - sum(map(mul, comarks, v))
+            if c < 0:
+                v, sign = tuple([x - c * r for x, r in zip(v, root)]), -sign
+                break
+        else:
+            break
+    orbit, frontier = {v: sign}, [v]
     while frontier:
         nxt = []
         for v in frontier:
             sign = -orbit[v]
             for i, root in gens:
-                c = v[i] if i is not None else sum(map(mul, comarks, v)) - level2
-                if c:
+                c = v[i] if i is not None else level2 - sum(map(mul, comarks, v))
+                if c > 0:
                     u = tuple([x - c * r for x, r in zip(v, root)])
                     if u not in orbit:
                         orbit[u] = sign

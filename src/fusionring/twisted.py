@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from operator import add, mul, sub
 
 from .errors import InputError, InternalLimitError
@@ -42,11 +42,7 @@ def face_subset(rs: RootSystem, nodes) -> tuple:
 @lru_cache(maxsize=None)
 def rho2(rs: RootSystem, subset: tuple) -> tuple:
     """Twice the half sum of the face subsystem's positive roots (integral)."""
-    total = [0] * rs.rank
-    for r in subsystem_positive_roots(rs, subset):
-        for i, x in enumerate(r):
-            total[i] += x
-    return tuple(total)
+    return tuple(map(sum, zip(*subsystem_positive_roots(rs, subset)))) or (0,) * rs.rank
 
 
 def rho_S(rs: RootSystem, subset) -> tuple:
@@ -62,11 +58,7 @@ def rho_S(rs: RootSystem, subset) -> tuple:
 def twist_order(rs: RootSystem, subset) -> int:
     """gcd of the comarks over the complement of the face subset."""
     subset = face_subset(rs, subset)
-    complement = [i for i in range(rs.rank + 1) if i not in subset]
-    g = 0
-    for i in complement:
-        g = gcd(g, rs.comarks[i])
-    return g
+    return gcd(*(rs.comarks[i] for i in range(rs.rank + 1) if i not in subset))
 
 
 def _pairing(rs, i: int, j: int) -> int:
@@ -155,10 +147,7 @@ def centralizer_type_string(types) -> str:
 
 
 def centralizer_weyl_order(types) -> int:
-    order = 1
-    for s, r in types:
-        order *= weyl_order_of_type(s, r)
-    return order
+    return prod(weyl_order_of_type(s, r) for s, r in types)
 
 
 @dataclass(frozen=True)
@@ -194,12 +183,9 @@ def census(rs: RootSystem) -> list:
     One entry per subset; the twist order is the gcd of the complementary
     comarks, and entries exist exactly when that gcd exceeds 1.
     """
-    out = []
     n = rs.rank
-    for mask in range(2 ** (n + 1) - 1):
-        subset = tuple(i for i in range(n + 1) if mask >> i & 1)
-        if twist_order(rs, subset) > 1:
-            out.append(centralizer_info(rs, subset))
+    faces = (tuple(i for i in range(n + 1) if mask >> i & 1) for mask in range(2 ** (n + 1) - 1))
+    out = [centralizer_info(rs, s) for s in faces if twist_order(rs, s) > 1]
     out.sort(key=lambda e: (-e.twist_order, len(e.subset), e.subset))
     return out
 
@@ -230,23 +216,6 @@ def regularize_affine(rs: RootSystem, subset, k: int, w):
     internal callers holding a validated face call that kernel directly.
     """
     return _face_walk(rs, face_subset(rs, subset), k).walk(_check_weight(rs, w))
-
-
-def _label_test(rs, subset: tuple, k: int):
-    """is_valid_label of a validated face and level, as an unchecked
-    predicate on labels: mu + rho_S strictly inside the chamber.  Kept
-    apart from is_valid_label, which stays the independent slow path."""
-    r2 = rho2(rs, subset)
-    walls = [(i - 1, r2[i - 1]) for i in subset if i]
-    comarks = rs.comarks[1:]
-    top = 2 * k - rs.level(r2) if 0 in subset else None
-
-    def test(mu):
-        for i, s in walls:
-            if 2 * mu[i] + s <= 0:
-                return False
-        return top is None or 2 * sum(map(mul, comarks, mu)) < top
-    return test
 
 
 def is_valid_label(rs: RootSystem, subset, k: int, mu) -> bool:
@@ -285,28 +254,39 @@ def _bounds(rs, k, level_bound=None, lambda_bound=None, base=None):
 
 
 def enumerate_labels(rs: RootSystem, subset, k: int, bound: int) -> list:
-    """Truncated label window for one face module.
+    """Truncated label window for one face module, by level, then label.
 
     Coordinates are capped at the bound.  Faces containing the affine node
     have labels bounded above in level, so the window keeps the slab of
     depth bound below the top; for the other faces the window is the
-    symmetric level band.
+    symmetric level band.  Each level is filled coordinate by coordinate,
+    in ranges cut by the walls and the levels later coordinates can reach.
     """
     subset = face_subset(rs, subset)
     _bounds(rs, k)
-    if 0 in subset:
-        lo, hi = k - bound, k
-    else:
-        lo, hi = -bound, bound
-    valid = _label_test(rs, subset, k)
-    comarks = rs.comarks[1:]
+    n, r2, comarks = rs.rank, rho2(rs, subset), rs.comarks[1:]
+    lo, hi = -bound, bound
+    if 0 in subset:   # strictly below the affine wall: 2 level(mu) + level(r2) < 2k
+        lo, hi = k - bound, min(k, (2 * k - rs.level(r2) - 1) // 2)
+    # strictly inside the linear walls: 2 mu_i + r2_i > 0
+    low = [max(-bound, -r2[i] // 2 + 1) if i + 1 in subset else -bound for i in range(n)]
+    least = [sum(map(mul, comarks[j:], low[j:])) for j in range(n + 1)]
+    most = [bound * sum(comarks[j:]) for j in range(n + 1)]
     out = []
-    for mu in product(range(-bound, bound + 1), repeat=rs.rank):
-        lev = sum(map(mul, comarks, mu))
-        if lo <= lev <= hi and valid(mu):
-            out.append((lev, mu))
-    out.sort()
-    return [mu for _, mu in out]
+
+    def fill(prefix, rest):
+        j = len(prefix)
+        if j == n:
+            out.append(prefix)
+            return
+        c = comarks[j]
+        for x in range(max(low[j], (rest - most[j + 1] + c - 1) // c),
+                       min(bound, (rest - least[j + 1]) // c) + 1):
+            fill((*prefix, x), rest - c * x)
+
+    for lev in range(lo, hi + 1):
+        fill((), lev)
+    return out
 
 
 class TwistedModuleElement(Sparse):
@@ -350,16 +330,28 @@ def rg_multiply(rs: RootSystem, c: VirtualCharacter, x: TwistedModuleElement) ->
     return TwistedModuleElement(x.subset, x.level, out)
 
 
+# A label's code is its level above one _WIDTH-bit field per coordinate,
+# each holding the coordinate plus _HALF: int order is (level, label) order.
+_WIDTH = 16
+_HALF = 1 << (_WIDTH - 1)
+
+
 class _LabelKeys(dict):
-    """Column order of label vectors: level, then the label itself."""
+    """The code of each label, made on first lookup; a coordinate that
+    would wrap into the next field raises AssertionError."""
 
     def __init__(self, rs):
         super().__init__()
         self.comarks = rs.comarks[1:]
 
     def __missing__(self, mu):
-        k = self[mu] = (sum(map(mul, self.comarks, mu)), mu)
-        return k
+        code = sum(map(mul, self.comarks, mu))
+        for x in mu:
+            if not -_HALF < x < _HALF:
+                raise AssertionError(f"label {mu} overflows its {_WIDTH}-bit code fields")
+            code = (code << _WIDTH) + x + _HALF
+        self[mu] = code
+        return code
 
 
 def _label_key(rs):
@@ -367,28 +359,45 @@ def _label_key(rs):
     return _LabelKeys(rs).__getitem__
 
 
-def _candidate_rows(rs, subset, k, c, lams, key):
-    """The nonzero product rows irrep(lam) * c, as (lam, row), ascending by
-    leading label: inserted candidate by candidate in this order, the
-    integer elimination stays nearly collision-free.
+def _check_code_reach(rs, subset, k, labels, level_bound, lambda_bound):
+    """InputError unless each label a search on the face at level k codes
+    fits its field.  A row label walks c + nu, |nu_i| <= lambda_bound, by
+    an element fixing a doubled point p, 0 <= p_i <= 2k, whose linear part
+    moves a coordinate to a coroot pairing (comark-bounded coefficients),
+    so it stays below h^vee (k + |c| + lambda_bound + |rho2|); window
+    labels stay within level_bound."""
+    top = max([level_bound, *(abs(x) for mu in labels for x in mu)])
+    reach = rs.dual_coxeter * (k + top + lambda_bound + max(map(abs, rho2(rs, subset))))
+    if reach >= _HALF:
+        raise InputError(f"labels of face {subset} at level {k} can reach {reach}, past "
+                         f"the label codes' {_WIDTH}-bit fields: lower the level or bounds")
 
-    The weights of V(lam) overlap across lam, so the rows share one walk
-    table: each c + nu is walked once per call.  The table lives only for
-    this call; a longer-lived one would keep every weight ever walked."""
+
+def _candidate_rows(rs, subset, k, c, lams, key):
+    """The nonzero product rows irrep(lam) * c on the codes of key (a
+    _label_key), as (lam, row), ascending by leading code.  So inserted,
+    extraction takes 3 row operations per insert, 7.5 on the G2 edge and
+    16 on the G2 vertex faces.  The rows share one walk table, which walks
+    and codes each c + nu once and lives only for this call; a longer-lived
+    one would keep every weight ever walked."""
     kernel = _face_walk(rs, subset, k)
-    table = _WalkTable(kernel.walk, c)
+
+    def coded(nu, shift):
+        red = kernel.walk(nu, shift)
+        return None if red is None else (key(red[0]), red[1])
+
+    table = _WalkTable(coded, c)
     rows = []
     for lam in lams:
         vec = kernel.signed_sum(full_weights(rs, lam), table=table)
         if vec:
-            rows.append((max(map(key, vec)), lam, vec))
+            rows.append((max(vec), lam, vec))
     rows.sort(key=lambda r: r[0])
     return [(lam, vec) for _, lam, vec in rows]
 
 
-def _product_echelon(rs, subset, k, candidates, lambda_bound):
-    key = _label_key(rs)
-    ech = ZEchelon(key)
+def _product_echelon(rs, subset, k, candidates, lambda_bound, key):
+    ech = ZEchelon()
     lams = alcove_weights(rs, lambda_bound)
     for c in candidates:
         for _, vec in _candidate_rows(rs, subset, k, c, lams, key):
@@ -396,16 +405,16 @@ def _product_echelon(rs, subset, k, candidates, lambda_bound):
     return ech
 
 
-def _certify_spanning(ech, window):
-    """Check that every window label lies in the lattice of ech, the
-    character multiples of the candidates, and leave ech as it is.
+def _certify_spanning(ech, window, key):
+    """Check that every window label, coded by key, lies in the lattice of
+    ech, the character multiples of the candidates; ech stays as it is.
 
     Labels are tested from the top of the ordering downward.  Membership
     does not depend on the order the rows went in.  Returns the first
     unreached label, or None.
     """
-    for mu in sorted(window, key=ech.col_key, reverse=True):
-        if not ech.contains({mu: 1}):
+    for mu in sorted(window, key=key, reverse=True):
+        if not ech.contains({key(mu): 1}):
             return mu
     return None
 
@@ -458,10 +467,12 @@ def verify_module_basis(rs: RootSystem, subset, k: int, candidates,
         if not is_valid_label(rs, subset, k, c):
             report.failure = f"{c} is not a chamber label"
             return report
+    _check_code_reach(rs, subset, k, candidates, level_bound, lambda_bound)
     window = enumerate_labels(rs, subset, k, level_bound)
     report.labels_checked = len(window)
+    key = _label_key(rs)
     missed = _certify_spanning(
-        _product_echelon(rs, subset, k, candidates, lambda_bound), window)
+        _product_echelon(rs, subset, k, candidates, lambda_bound, key), window, key)
     if missed is not None:
         report.failure = f"label {missed} is not reached by the candidates"
         return report
@@ -531,9 +542,7 @@ def _window_order(rs, subset, window, seeds):
     an integer with the same order and ties."""
     gram, _ = _integer_form(rs)
     n = max(len(seeds), 1)
-    total = [0] * rs.rank
-    for s in seeds:
-        total = list(map(add, total, _beta2(rs, subset, s)))
+    total = [sum(c) for c in zip(*(_beta2(rs, subset, s) for s in seeds))] or [0] * rs.rank
 
     def key(mu):
         diff = [n * b - t for b, t in zip(_beta2(rs, subset, mu), total)]
@@ -549,12 +558,12 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound):
     Returns (basis, echelon, shift).  A face through the affine node is
     searched at its base level k0 = k mod twist order, which translation by
     shift identifies with level k; shift is zero on the other faces.  The
-    echelon holds the product rows of basis - shift at level k0, candidate
-    by candidate, each row tagged {(index in basis, lam): 1}, so reducing
-    a level-k label minus shift with want_combination solves over the
-    basis.  The translation fixes the face's linear walls, moves its
-    affine wall by k - k0 and keeps the column order, so these rows are
-    the level-k rows translated."""
+    echelon holds the product rows of basis - shift at level k0 on label
+    codes, each tagged {(index in basis, lam): 1}, so reducing the code
+    (_label_key) of a level-k label minus shift solves over the basis.
+    The translation fixes the face's linear walls, moves its affine wall
+    by k - k0 and keeps the column order, so these rows are the level-k
+    rows translated."""
     d = twist_order(rs, subset) if 0 in subset else 0
     k0 = k % d if d else k
     level_bound, lambda_bound = _bounds(rs, k, level_bound, lambda_bound, k0)
@@ -562,6 +571,7 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound):
     if k != k0:
         shift = tuple((k - k0) // d * t for t in translation_weight(rs, subset))
         seeds = [tuple(map(sub, s, shift)) for s in seeds]
+    _check_code_reach(rs, subset, k0, seeds, level_bound, lambda_bound)
     where = f"face {subset} at level {k0}"
     if k != k0:
         where += f" (translated from requested level {k})"
@@ -571,7 +581,7 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound):
     ordered = _window_order(rs, subset, window, seeds)
     chosen = []
     key = _label_key(rs)
-    ech = ZEchelon(key)
+    ech = ZEchelon()
     lams = alcove_weights(rs, lambda_bound)
 
     def take(c):
@@ -581,20 +591,20 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound):
             ech.insert(vec, {(idx, lam): 1})
 
     for s in seeds:
-        if ech.contains({s: 1}):
+        if ech.contains({key(s): 1}):
             raise InputError(f"seed label {s} is dependent on earlier seeds for {where}")
         take(s)
     for cand in ordered:
         if len(chosen) == rank:
             break
-        if cand in chosen or ech.contains({cand: 1}):
+        if cand in chosen or ech.contains({key(cand): 1}):
             continue
         take(cand)
     if len(chosen) != rank:
         raise InternalLimitError(
             f"found only {len(chosen)} of {rank} generators for {where}: "
             f"the label window is too small, raise level_bound ({bounds})")
-    missed = _certify_spanning(ech, window)
+    missed = _certify_spanning(ech, window, key)
     if missed is not None:
         raise InternalLimitError(
             f"candidate set {chosen} fails to span label {missed} on {where}: "
@@ -647,9 +657,6 @@ def module_element_expansion(rs: RootSystem, subset, k: int, mu) -> dict:
     num = _antisymmetrize(rs, subset, k, _beta2(rs, subset, mu))
     den = _antisymmetrize(rs, subset, 0, rho2(rs, subset))
     quo2 = _laurent_divide_exact(num, den)
-    out = {}
-    for e, c in quo2.items():
-        if any(x % 2 for x in e):
-            raise AssertionError("expansion landed outside the weight lattice")
-        out[tuple(x // 2 for x in e)] = c
-    return out
+    if any(x % 2 for e in quo2 for x in e):
+        raise AssertionError("expansion landed outside the weight lattice")
+    return {tuple(x // 2 for x in e): c for e, c in quo2.items()}

@@ -1,12 +1,8 @@
 from fusionring.intlinalg import ZEchelon
 
 
-def key(c):
-    return c
-
-
 def test_basic_membership():
-    ech = ZEchelon(key)
+    ech = ZEchelon()
     ech.insert({0: 2, 1: 1})
     ech.insert({1: 2})
     assert ech.contains({0: 2, 1: 3})
@@ -16,7 +12,7 @@ def test_basic_membership():
 
 
 def test_combination_tracking():
-    ech = ZEchelon(key)
+    ech = ZEchelon()
     ech.insert({0: 1, 1: 1}, {"a": 1})
     ech.insert({1: 1}, {"b": 1})
     residual, combo = ech.reduce({0: 2, 1: 5}, want_combination=True)
@@ -26,7 +22,7 @@ def test_combination_tracking():
 
 
 def test_insert_swaps_to_small_pivots():
-    ech = ZEchelon(key)
+    ech = ZEchelon()
     ech.insert({0: 4})
     ech.insert({0: 6})
     # lattice gcd is 2

@@ -18,7 +18,7 @@ row_lists = st.lists(vectors, min_size=1, max_size=6)
 
 
 def _echelon(rows):
-    ech = ZEchelon(lambda col: col)
+    ech = ZEchelon()
     for row in rows:
         ech.insert(dict(row))
     return ech
@@ -48,7 +48,7 @@ def test_tagged_rows_give_the_combination(data):
     probe = data.draw(vectors)
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
                                 max_size=len(rows)))
-    ech = ZEchelon(lambda col: col)
+    ech = ZEchelon()
     for i, row in enumerate(rows):
         ech.insert(dict(row), {i: 1})
     member = {}

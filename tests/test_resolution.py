@@ -9,7 +9,7 @@ from fusionring import (InputError, InternalLimitError, VirtualCharacter,
                         d_squared_check, enumerate_labels, extract_presentation,
                         fold_weight, g2_fusion_ideal_generators, in_fusion_ideal,
                         verify_presentation)
-from fusionring import resolution, twisted
+from fusionring import intlinalg, resolution, twisted
 from fusionring.groebner import INFINITE
 from fusionring.resolution import CokernelReport, D2Report
 
@@ -267,6 +267,11 @@ def test_extract_rejects_a_level_bound_below_the_level(a1):
         extract_presentation(a1, 2, level_bound=1)
 
 
+def test_extract_rejects_bounds_past_the_label_codes(a1):
+    with pytest.raises(InputError, match="label codes"):
+        extract_presentation(a1, 1, lambda_bound=20000)
+
+
 @pytest.mark.parametrize("name,kmax", [("A1", 5), ("A2", 3), ("C2", 3), ("G2", 4)])
 def test_d_squared_vanishes(name, kmax, request):
     rs = build_root_system(name)
@@ -417,6 +422,36 @@ def test_extract_builds_each_candidate_once(name, k, builds, monkeypatch):
     monkeypatch.setattr(twisted, "_candidate_rows", counted_rows)
     extract_presentation(rs, k)
     assert len(calls) == builds
+
+
+# (inserts, dependent inserts, addmul calls) of the echelons of
+# extract_presentation: the row operations of the searches and the
+# solves of the lifts.  The label codes keep the column order of the
+# (level, label) tuple keys, so the elimination and these counts are
+# those of the tuple keys.
+ECHELON_WORK = [("G2", 1, (1088, 0, 24600)), ("B2", 2, (1155, 0, 7705)),
+                ("A2", 3, (1088, 0, 2680))]
+
+
+@pytest.mark.parametrize("name, k, work", ECHELON_WORK)
+def test_extract_echelon_work(name, k, work, monkeypatch):
+    counts = Counter()
+    insert, addmul = intlinalg.ZEchelon.insert, intlinalg.addmul
+
+    def counted_insert(self, vec, meta=None):
+        independent = insert(self, vec, meta)
+        counts["inserts"] += 1
+        counts["dependent"] += not independent
+        return independent
+
+    def counted_addmul(*args):
+        counts["addmul"] += 1
+        return addmul(*args)
+
+    monkeypatch.setattr(intlinalg.ZEchelon, "insert", counted_insert)
+    monkeypatch.setattr(intlinalg, "addmul", counted_addmul)
+    extract_presentation(build_root_system(name), k)
+    assert (counts["inserts"], counts["dependent"], counts["addmul"]) == work
 
 
 def test_limit_messages_name_the_bound(g2):

@@ -1,12 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from fusionring import (InputError, LieType, alcove_weights, build_root_system,
                         full_weights, shifted_dominant_reduce,
                         weight_multiplicity, weyl_dimension, weyl_orbit)
-from fusionring.rootdata import dominant_reduce, weyl_orbit_signed
+from fusionring.rootdata import dominant_reduce, reflection_orbit, weyl_orbit_signed
+from fusionring.twisted import centralizer_info
 
 ALL_SMALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -162,6 +165,53 @@ def test_weyl_orbits_match_the_reflect_search(name):
         regular = tuple(x + 1 for x in lam)
         assert weyl_orbit_signed(rs, regular) == \
             sorted(_orbit_by_reflect(rs, regular).items()), lam
+
+
+def _orbit_by_search(rs, walls, level2, point):
+    """{image: sign} of a point under a face group, breadth first from the
+    point across every wall the image does not lie on, each new image
+    signed opposite to the one it was reached from: the general search,
+    kept as the oracle of reflection_orbit."""
+    gens = [(i, rs.simple_roots[i]) for i in walls]
+    if level2 is not None:
+        gens.append((None, rs.highest_root))
+    comarks = rs.comarks[1:]
+    orbit = {point: 1}
+    frontier = [point]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            sign = -orbit[v]
+            for i, root in gens:
+                c = v[i] if i is not None else sum(map(mul, comarks, v)) - level2
+                if c:
+                    u = tuple([x - c * r for x, r in zip(v, root)])
+                    if u not in orbit:
+                        orbit[u] = sign
+                        nxt.append(u)
+        frontier = nxt
+    return orbit
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"])
+def test_reflection_orbit_matches_the_general_search(name):
+    # reflection_orbit walks into the chamber and grows outward only; the
+    # images and the signs must be those of the search from the point
+    # itself, on regular points and on wall points of every face group
+    rs = build_root_system(name)
+    n = rs.rank
+    for mask in range(2 ** (n + 1) - 1):
+        subset = tuple(i for i in range(n + 1) if mask >> i & 1)
+        walls = tuple(i - 1 for i in subset if i)
+        order = centralizer_info(rs, subset).weyl_order
+        for level2 in (0, 1, 2) if 0 in subset else (None,):
+            kinds = set()
+            for point in itertools.product(range(-3, 4), repeat=n):
+                orbit = reflection_orbit(rs, walls, level2, point)
+                assert orbit == _orbit_by_search(rs, walls, level2, point), \
+                    (subset, level2, point)
+                kinds.add(len(orbit) == order)
+            assert kinds == {True, False} or order == 1, (subset, level2)
 
 
 @pytest.mark.parametrize("name", ["G2", "A2", "C2", "B3"])

@@ -1,9 +1,10 @@
 import copy
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
-from operator import add, sub
+from operator import sub
 
 import pytest
 
@@ -430,8 +431,9 @@ def _label_product(rs, subset, k, lam, c):
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_candidate_rows_match_label_products(name):
-    # _candidate_rows reads one walk table per candidate; _label_product
-    # walks every weight of every row afresh and stays the slow path
+    # _candidate_rows reads one walk table per candidate and writes rows
+    # on label codes; _label_product walks every weight of every row
+    # afresh on labels and stays the slow path
     rs = build_root_system(name)
     key = twisted._label_key(rs)
     for subset in _proper_faces(rs):
@@ -443,10 +445,67 @@ def test_candidate_rows_match_label_products(name):
                 for lam in lams:
                     vec = _label_product(rs, subset, k, lam, c)
                     if vec:
-                        expect.append((lam, vec))
-                expect.sort(key=lambda row: max(map(key, row[1])))
+                        expect.append((lam, {key(mu): v for mu, v in vec.items()}))
+                expect.sort(key=lambda row: max(row[1]))
                 assert twisted._candidate_rows(rs, subset, k, c, lams, key) == expect, \
                     (subset, k, c)
+
+
+def test_label_code_field_limit(g2):
+    # a coordinate that would overflow its field of the code raises, naming
+    # the label, instead of wrapping into the next field; the largest
+    # coordinates inside the field still encode in order
+    key = twisted._label_key(g2)
+    top = twisted._HALF - 1
+    assert key((top, -top)) < key((-top, top)) < key((1 - top, top))   # levels -top, top, top + 1
+    for label in [(twisted._HALF, 0), (0, -twisted._HALF), (3, twisted._HALF + 5)]:
+        with pytest.raises(AssertionError, match=re.escape(str(label))):
+            key(label)
+
+
+def test_label_code_reach_is_checked_at_the_entry_points(a1, g2):
+    # input whose labels could pass the code fields is an InputError before
+    # any label is coded: a far seed or candidate, or bounds that large
+    with pytest.raises(InputError, match="label codes"):
+        find_module_basis(a1, (1,), 0, seeds=[(40000,)])
+    with pytest.raises(InputError, match="label codes"):
+        verify_module_basis(a1, (1,), 0, [(40000,)])
+    basis = find_module_basis(g2, (0, 2), 2)
+    for bounds in [dict(level_bound=5000), dict(lambda_bound=9000)]:
+        with pytest.raises(InputError, match="label codes"):
+            find_module_basis(g2, (0, 2), 2, **bounds)
+        with pytest.raises(InputError, match="label codes"):
+            verify_module_basis(g2, (0, 2), 2, basis, **bounds)
+    # inside the reach the search codes every label and reaches its verdict
+    with pytest.raises(InternalLimitError, match="raise lambda_bound"):
+        find_module_basis(a1, (1,), 0, seeds=[(16000,)])
+    # seeds are checked after translation to the base level
+    far = find_module_basis(a1, (0,), 40000)
+    t = translation_weight(a1, (0,))
+    assert far == [tuple(x + 40000 * y for x, y in zip(b, t))
+                   for b in find_module_basis(a1, (0,), 0)]
+    assert find_module_basis(a1, (0,), 40000, seeds=far) == far
+
+
+@pytest.mark.parametrize("name,lam_bound,box", [("A1", 3, 4), ("A2", 2, 3), ("B2", 2, 3),
+                                                ("C2", 2, 3), ("G2", 2, 3), ("A3", 1, 2),
+                                                ("B3", 1, 2)])
+def test_label_code_reach_bounds_every_row_label(name, lam_bound, box):
+    # the bound _check_code_reach puts on product-row labels holds for every
+    # c + nu of every proper face at k <= 2, c anywhere in a box
+    rs = build_root_system(name)
+    weights = [nu for lam in alcove_weights(rs, lam_bound) for nu in full_weights(rs, lam)]
+    for size in range(rs.rank + 1):
+        for subset in itertools.combinations(range(rs.rank + 1), size):
+            r2 = max(map(abs, rho2(rs, subset)))
+            for k in range(3):
+                walk = twisted._face_walk(rs, subset, k).walk
+                for c in itertools.product(range(-box, box + 1), repeat=rs.rank):
+                    reach = rs.dual_coxeter * (k + max(map(abs, c)) + lam_bound + r2)
+                    for nu in weights:
+                        red = walk(c, nu)
+                        assert red is None or max(map(abs, red[0])) < reach, \
+                            (subset, k, c, nu)
 
 
 def _fraction_window_order(rs, subset, window, seeds):
@@ -520,10 +579,13 @@ VERTEX_LEVELS = [("A2", 3, 6), ("B2", 2, 4), ("G2", 4, 7)]
 def test_search_echelon_is_the_translated_level_echelon(name, top, translated):
     # extract_presentation solves its lifts on the echelon _search_basis
     # built at the base level; moved up by shift it must be the echelon of
-    # the level-k rows, row for row and tag for tag, and solve alike
+    # the level-k rows, row for row and tag for tag, and solve alike.  A
+    # label code is affine in the label, so moving a label by shift moves
+    # its code by key(shift) - key(0)
     rs = build_root_system(name)
     key = twisted._label_key(rs)
     n = rs.rank
+    zero = key((0,) * n)
     moved = 0
     for j in range(1, n + 1):
         vertex = face_subset(rs, [i for i in range(n + 1) if i != j])
@@ -534,19 +596,22 @@ def test_search_echelon_is_the_translated_level_echelon(name, top, translated):
                                                       lambda_bound)
             moved += any(shift)
             lams = alcove_weights(rs, lambda_bound)
-            rebuilt = ZEchelon(key)
+            rebuilt = ZEchelon()
             for idx, c in enumerate(basis):
                 for lam, vec in twisted._candidate_rows(rs, vertex, k, c, lams, key):
                     rebuilt.insert(vec, {(idx, lam): 1})
+            delta = key(shift) - zero
 
             def up(vec):
-                return {tuple(map(add, mu, shift)): v for mu, v in vec.items()}
+                return {col + delta: v for col, v in vec.items()}
 
-            assert {tuple(map(add, col, shift)): (up(vec), meta)
+            assert {col + delta: (up(vec), meta)
                     for col, (vec, meta) in ech.rows.items()} == rebuilt.rows, (vertex, k)
             for mu in enumerate_labels(rs, vertex, k, level_bound):
-                residual, combo = ech.reduce({tuple(map(sub, mu, shift)): 1}, True)
-                assert (up(residual), combo) == rebuilt.reduce({mu: 1}, True), (vertex, k, mu)
+                assert key(tuple(map(sub, mu, shift))) + delta == key(mu)
+                residual, combo = ech.reduce({key(tuple(map(sub, mu, shift))): 1}, True)
+                assert (up(residual), combo) == rebuilt.reduce({key(mu): 1}, True), \
+                    (vertex, k, mu)
     assert moved == translated
 
 
@@ -555,14 +620,18 @@ def test_certification_leaves_the_echelon_as_it_is(g2):
     subset = (0, 2)
     basis = find_module_basis(g2, subset, 0)
     window = enumerate_labels(g2, subset, 0, 2 * g2.dual_coxeter)
+    key = twisted._label_key(g2)
     for candidates, spans in ((basis, True), (basis[:-1], False)):
-        ech = twisted._product_echelon(g2, subset, 0, candidates, 3 * g2.dual_coxeter)
+        ech = twisted._product_echelon(g2, subset, 0, candidates, 3 * g2.dual_coxeter, key)
         snapshot = copy.deepcopy(ech.rows)
-        assert (twisted._certify_spanning(ech, window) is None) == spans
+        assert (twisted._certify_spanning(ech, window, key) is None) == spans
         assert ech.rows == snapshot
 
 
 LABEL_WINDOWS = [("A2", range(3)), ("B2", range(3)), ("G2", range(3)), ("A3", (1,))]
+# the windows above and more groups and levels
+LABEL_BOXES = LABEL_WINDOWS + [("A1", range(4)), ("C2", range(3)), ("G2", (3,)),
+                               ("A3", (0, 2)), ("B3", (1,)), ("C3", (1,))]
 
 
 @pytest.mark.parametrize("name, levels", LABEL_WINDOWS)
@@ -574,21 +643,21 @@ def test_labels_walk_to_themselves(name, levels):
                 assert regularize_affine(rs, subset, k, mu) == (mu, 1), (subset, k)
 
 
-@pytest.mark.parametrize("name, levels", LABEL_WINDOWS)
+@pytest.mark.parametrize("name, levels", LABEL_BOXES)
 def test_enumerate_labels_against_brute_force(name, levels):
-    # enumerate_labels validates the face once and tests each point with an
-    # unchecked predicate; the oracle filters the box through the public,
-    # validating is_valid_label
+    # enumerate_labels fills each level inside the ranges the walls and the
+    # slab leave; the oracle scans the whole box of the bound and filters it
+    # through the public, validating is_valid_label
     rs = build_root_system(name)
-    bound = 3
     for subset in _proper_faces(rs):
         for k in levels:
-            lo, hi = (k - bound, k) if 0 in subset else (-bound, bound)
-            box = itertools.product(range(-bound, bound + 1), repeat=rs.rank)
-            expect = sorted((mu for mu in box if lo <= rs.level(mu) <= hi
-                             and is_valid_label(rs, subset, k, mu)),
-                            key=lambda m: (rs.level(m), m))
-            assert enumerate_labels(rs, subset, k, bound) == expect, (subset, k)
+            for bound in (0, 1, 3, 5) if rs.rank < 3 else (0, 2, 4):
+                lo, hi = (k - bound, k) if 0 in subset else (-bound, bound)
+                box = itertools.product(range(-bound, bound + 1), repeat=rs.rank)
+                expect = sorted((mu for mu in box if lo <= rs.level(mu) <= hi
+                                 and is_valid_label(rs, subset, k, mu)),
+                                key=lambda m: (rs.level(m), m))
+                assert enumerate_labels(rs, subset, k, bound) == expect, (subset, k, bound)
 
 
 def test_translation_weight_needs_the_affine_node(g2, a2):
