@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import InputError
-from .repring import VirtualCharacter
+from .repring import VirtualCharacter, fewer_weights_first
 from .rootdata import (RootSystem, _WalkTable, _check_weight, _integer_form,
                        alcove_weights, full_weights, rho_walk,
                        weyl_orbit_signed)
@@ -65,11 +65,6 @@ def in_fusion_ideal(rs: RootSystem, x: VirtualCharacter, k: int) -> bool:
     return not fold(rs, x, k)
 
 
-def _factor_key(rs: RootSystem):
-    """Order on highest weights: fewer weights first, ties by the tuple."""
-    return lambda w: (len(full_weights(rs, w)), w)
-
-
 def fusion_product(rs: RootSystem, a, b, k: int) -> FusionElement:
     """Fusion product of two alcove weights at level k.
 
@@ -83,7 +78,7 @@ def fusion_product(rs: RootSystem, a, b, k: int) -> FusionElement:
     for w in (a, b):
         if not rs.is_dominant(w) or rs.level(w) > k:
             raise InputError(f"weight {w} is outside the level-{k} alcove")
-    p, s = sorted((a, b), key=_factor_key(rs))
+    p, s = sorted((a, b), key=fewer_weights_first(rs))
     return FusionElement(k, kernel.signed_sum(full_weights(rs, p), s))
 
 
@@ -102,13 +97,14 @@ def fusion_table(rs: RootSystem, k: int) -> dict:
     """All pairwise fusion products, keyed by ordered weight pairs.
 
     Each product s * p is fusion_product's sum over the weights of p with
-    s shifted in, for p at or before s in the order of _factor_key.  The
-    products with one shift s share a walk table (nu to the fold of s + nu),
-    so each s + nu is walked once; the table is dropped when s is done.
+    s shifted in, for p at or before s in the order of
+    repring.fewer_weights_first.  The products with one shift s share a
+    walk table (nu to the fold of s + nu), so each s + nu is walked once;
+    the table is dropped when s is done.
     """
     kernel = _fold_kernel(rs, k)
     basis = alcove_weights(rs, k)
-    order = sorted(basis, key=_factor_key(rs))
+    order = sorted(basis, key=fewer_weights_first(rs))
     products = {}
     for i, s in enumerate(order):
         table = _WalkTable(kernel.walk, s)

@@ -88,10 +88,6 @@ class FieldPoly:
             return Fraction(c)
         return int(c) % self.modulus
 
-    @classmethod
-    def from_int_poly(cls, nvars, int_terms, modulus=None):
-        return cls(nvars, dict(int_terms), modulus)
-
     def is_zero(self):
         return not self.terms
 

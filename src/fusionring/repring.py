@@ -1,8 +1,12 @@
 """Exact arithmetic in the representation ring.
 
 Virtual characters are finitely supported integer maps on dominant weights.
-Tensor decomposition uses the Klimyk rule: expand the factor with fewer
-weights, shift by the other highest weight, and regularize with signs.
+Characters multiply by Klimyk sums: irrep(lam) x irrep(nu) is the weight
+system of one factor, shifted by the other highest weight and regularized
+with signs (rootdata.rho_walk).  A tensor product expands the factor that
+comes first under fewer_weights_first, which fusion_product shares; the
+monomial x^e is x^(e - e_i) times x_i, so monomials expand only the
+fundamental weight systems.
 Conversion to polynomials in the fundamental characters eliminates the
 largest remaining term (by level, then lexicographic order) against the
 character of the matching monomial; every new term is dominance-below the
@@ -10,7 +14,9 @@ eliminated one, so the elimination terminates.
 """
 from __future__ import annotations
 
-from .rootdata import RootSystem, full_weights, rho_walk, weyl_dimension
+from functools import lru_cache
+
+from .rootdata import RootSystem, _check_weight, full_weights, rho_walk, weyl_dimension
 from .sparse import Sparse, addmul
 
 
@@ -44,20 +50,20 @@ def dim_virtual(rs: RootSystem, x: VirtualCharacter) -> int:
     return sum(c * weyl_dimension(rs, w) for w, c in x.terms.items())
 
 
-def _klimyk_pair(rs, lam, nu):
-    """Decomposition of irrep(lam) x irrep(nu) as {weight: mult}."""
-    wl, wn = full_weights(rs, lam), full_weights(rs, nu)
-    if len(wl) < len(wn):
-        lam, wn = nu, wl
-    return rho_walk(rs).signed_sum(wn, lam)
+def fewer_weights_first(rs: RootSystem):
+    """Order on highest weights for the factor a product expands: fewer
+    weights first, ties by the tuple."""
+    return lambda w: (len(full_weights(rs, w)), w)
 
 
 def tensor_product(rs: RootSystem, x: VirtualCharacter, y: VirtualCharacter) -> VirtualCharacter:
     """Bilinear tensor-product decomposition."""
+    signed_sum, key = rho_walk(rs).signed_sum, fewer_weights_first(rs)
     out = {}
     for lam, a in x.terms.items():
         for nu, b in y.terms.items():
-            addmul(out, _klimyk_pair(rs, lam, nu), a * b)
+            p, s = sorted((lam, nu), key=key)
+            signed_sum(full_weights(rs, p), s, a * b, out)
     return VirtualCharacter(out)
 
 
@@ -65,29 +71,25 @@ def _term_key(rs, w):
     return (rs.level(w), w)
 
 
-# keyed on the RootSystem itself (eq=False, so it hashes by identity): the
-# key keeps the object alive, so its id cannot be reused by another one
-_MONOMIAL_CACHE: dict = {}
-
-
 def monomial_character(rs: RootSystem, exponents) -> VirtualCharacter:
     """Character of the monomial prod x_i^{e_i}, memoized per root system."""
-    exponents = tuple(exponents)
-    key = (rs, exponents)
-    cached = _MONOMIAL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _monomial(rs, _check_weight(rs, exponents))
+
+
+@lru_cache(maxsize=None)
+def _monomial(rs, exponents):
+    """x^e as x^(e - e_i) x_i, i the first nonzero exponent: one Klimyk sum
+    of the i-th fundamental weight system at each constituent."""
     if not any(exponents):
-        result = VirtualCharacter.irrep((0,) * rs.rank)
-    else:
-        i = next(j for j, e in enumerate(exponents) if e)
-        smaller = list(exponents)
-        smaller[i] -= 1
-        fundamental = VirtualCharacter.irrep(
-            tuple(1 if j == i else 0 for j in range(rs.rank)))
-        result = tensor_product(rs, monomial_character(rs, smaller), fundamental)
-    _MONOMIAL_CACHE[key] = result
-    return result
+        return VirtualCharacter.irrep((0,) * rs.rank)
+    i = next(j for j, e in enumerate(exponents) if e)
+    smaller = _monomial(rs, exponents[:i] + (exponents[i] - 1,) + exponents[i + 1:])
+    weights = full_weights(rs, tuple(int(j == i) for j in range(rs.rank)))
+    signed_sum = rho_walk(rs).signed_sum
+    out = {}
+    for lam, c in smaller.terms.items():
+        signed_sum(weights, lam, c, out)
+    return VirtualCharacter(out)
 
 
 def to_polynomial(rs: RootSystem, x: VirtualCharacter) -> PolyChar:

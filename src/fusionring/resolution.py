@@ -18,9 +18,8 @@ from operator import sub
 from .errors import InputError, InternalLimitError
 from .fusion import in_fusion_ideal
 from .groebner import INFINITE, FieldPoly, check_prime, quotient_codimension
-from .repring import VirtualCharacter, tensor_product, to_polynomial
-from .rootdata import (RootSystem, _WalkTable, alcove_weights, rho_walk,
-                       shifted_dominant_reduce)
+from .repring import VirtualCharacter, fewer_weights_first, to_polynomial
+from .rootdata import RootSystem, _WalkTable, alcove_weights, full_weights, rho_walk
 from .twisted import (_bounds, _check_code_reach, _face_walk, _label_key, _search_basis,
                       centralizer_info, enumerate_labels, face_subset,
                       find_module_basis, is_valid_label, regularize_affine)
@@ -236,15 +235,6 @@ def cokernel_vs_oracle(rs: RootSystem, k: int, level_bound: int | None = None) -
                           passed=edge_ok and spans, first_failure=first_failure)
 
 
-def _partial0(rs, mu) -> VirtualCharacter:
-    """Induction of an edge label into the full-group vertex."""
-    red = shifted_dominant_reduce(rs, mu)
-    if red is None:
-        return VirtualCharacter.zero()
-    w, sign = red
-    return VirtualCharacter.irrep(w).scale(sign)
-
-
 @dataclass
 class ExtractionReport:
     group: str
@@ -275,11 +265,14 @@ def extract_presentation(rs: RootSystem, k: int,
     minus the inductions of the lifts weighted by the solution of
     d1(g) = sum c_s d1(lift_s) over the vertex basis.  The system is solved
     on the echelon the vertex basis search built and certified, translated
-    to the search's base level and written on label codes.
+    to the search's base level and written on label codes.  Each term
+    c irrep(lam) x ind(lift) of the solution is one Klimyk sum added into
+    the generator.
     """
     level_bound, lambda_bound = _bounds(rs, k, level_bound, lambda_bound)
     n = rs.rank
-    key = _label_key(rs)
+    key, factor = _label_key(rs), fewer_weights_first(rs)
+    induce = rho_walk(rs).signed_sum
     gens: list[VirtualCharacter] = []
     per_edge = {}
     bound = 0
@@ -297,6 +290,7 @@ def extract_presentation(rs: RootSystem, k: int,
         edge_basis = find_module_basis(rs, edge, k, seeds=vertex_basis,
                                        level_bound=level_bound,
                                        lambda_bound=lambda_bound)
+        inductions = [induce({b: 1}) for b in vertex_basis]
         emitted = 0
         for g in edge_basis:
             if g in vertex_basis:
@@ -311,15 +305,13 @@ def extract_presentation(rs: RootSystem, k: int,
                     f"cannot express d1({g}) over the vertex basis of {vertex} "
                     f"at level {k}: raise lambda_bound (level_bound={level_bound}, "
                     f"lambda_bound={lambda_bound})")
-            coeffs = {}   # candidate index -> {lam: coefficient}
+            gen = induce({g: 1})
             for (idx, lam), c in combo.items():
-                coeffs.setdefault(idx, {})[lam] = c
-            gen = _partial0(rs, g)
-            for idx, c_s in coeffs.items():
-                gen = gen - tensor_product(rs, VirtualCharacter(c_s),
-                                           _partial0(rs, vertex_basis[idx]))
+                for w, sign in inductions[idx].items():
+                    p, s = sorted((lam, w), key=factor)
+                    induce(full_weights(rs, p), s, -c * sign, gen)
             if gen:
-                gens.append(gen)
+                gens.append(VirtualCharacter(gen))
                 emitted += 1
         per_edge[edge] = emitted
     return ExtractionReport(group=str(rs.lie_type), level=k, generators=gens,

@@ -232,11 +232,11 @@ def is_valid_label(rs: RootSystem, subset, k: int, mu) -> bool:
 def _bounds(rs, k, level_bound=None, lambda_bound=None, base=None):
     """Check the level and the truncation bounds and fill in their defaults.
 
-    The level must be nonnegative, an explicit level_bound at least the
-    level and an explicit lambda_bound nonnegative.  By default
-    level_bound = base + 2 h^vee and lambda_bound = level_bound + h^vee +
-    base, where base is the level unless a search passes its base level.
-    Returns (level_bound, lambda_bound).
+    The level must be nonnegative, an explicit level_bound at least base
+    and an explicit lambda_bound nonnegative.  By default level_bound =
+    base + 2 h^vee and lambda_bound = level_bound + h^vee + base, where
+    base is the level unless a search passes the base level its window is
+    enumerated at.  Returns (level_bound, lambda_bound).
     """
     if k < 0:
         raise InputError("level must be nonnegative")
@@ -244,7 +244,7 @@ def _bounds(rs, k, level_bound=None, lambda_bound=None, base=None):
         base = k
     if level_bound is None:
         level_bound = base + 2 * rs.dual_coxeter
-    elif level_bound < k:
+    elif level_bound < base:
         raise InputError("level_bound must be at least the level")
     if lambda_bound is None:
         lambda_bound = level_bound + rs.dual_coxeter + base

@@ -155,6 +155,26 @@ def test_internal_limit_messages_name_a_bound():
     assert raised
 
 
+def test_characters_multiply_through_one_factor_rule():
+    # outside repring, characters multiply by Klimyk sums, never through
+    # tensor_product; the rule for the factor a product expands is one
+    # function, and no other code sizes a weight system to choose
+    rules = sizes = 0
+    for path in sorted(Path(fusionring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "fewer_weights_first":
+                rules += 1
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if path.stem != "repring":
+                assert name != "tensor_product", f"{path.name}:{node.lineno}"
+            if name == "len" and node.args and isinstance(node.args[0], ast.Call) \
+                    and getattr(node.args[0].func, "id", None) == "full_weights":
+                sizes += 1
+    assert (rules, sizes) == (1, 1)
+
+
 def test_composite_primes_exit_two(capsys):
     for primes in ("4", "2,9", "2147483659"):
         code, _, err = run(capsys, ["verify-g2", "--level", "1", "--primes", primes])

@@ -1,9 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
-from fusionring import (InputError, PolyChar, VirtualCharacter, dim_virtual,
-                        from_polynomial, tensor_product, to_polynomial)
+from fusionring import (InputError, PolyChar, VirtualCharacter, build_root_system,
+                        dim_virtual, from_polynomial, full_weights,
+                        g2_fusion_ideal_generators, tensor_product, to_polynomial)
+from fusionring import repring, rootdata
 from fusionring.repring import monomial_character
 
 from conftest import random_character
@@ -89,6 +92,12 @@ def test_polynomial_round_trips(name, request):
         assert to_polynomial(rs, from_polynomial(rs, q)) == q
 
 
+def test_polynomials_in_the_wrong_number_of_variables_are_rejected(g2):
+    for e in [(0, 0, 1), (1,)]:
+        with pytest.raises(InputError, match="does not match rank 2"):
+            from_polynomial(g2, PolyChar({e: 1}))
+
+
 def test_monomial_character_leading_term(g2):
     # the character of x^e has the exponent itself as unique top weight
     m = monomial_character(g2, (2, 1))
@@ -97,10 +106,44 @@ def test_monomial_character_leading_term(g2):
     assert m.terms[(2, 1)] == 1
 
 
+@pytest.mark.parametrize("name, degree", [("A2", 6), ("B2", 6), ("C2", 6), ("G2", 6),
+                                          ("A3", 3)])
+def test_monomial_character_is_the_product_of_fundamentals(name, degree):
+    # the oracle multiplies the fundamental irreps one by one with
+    # tensor_product, last index first
+    rs = build_root_system(name)
+    n = rs.rank
+    fundamentals = [VirtualCharacter.irrep(tuple(int(j == i) for j in range(n)))
+                    for i in range(n)]
+    for e in product(range(degree + 1), repeat=n):
+        if sum(e) > degree:
+            continue
+        expected = VirtualCharacter.irrep((0,) * n)
+        for i in reversed(range(n)):
+            for _ in range(e[i]):
+                expected = tensor_product(rs, expected, fundamentals[i])
+        assert monomial_character(rs, e) == expected, e
+
+
+def test_certify_polynomials_expand_only_the_fundamental_weight_systems(g2):
+    # cold to_polynomial of the 32 G2 generators at k = 1..8 runs
+    # Freudenthal for the two fundamental irreps and for nothing else
+    gens = [g for k in range(1, 9) for g in g2_fusion_ideal_generators(k)]
+    full_weights.cache_clear()
+    repring._monomial.cache_clear()
+    for g in gens:
+        to_polynomial(g2, g)
+    assert full_weights.cache_info().misses == 2
+
 
 def test_monomial_cache_holds_the_root_system(g2):
-    # keyed on the object, not on id(): an entry keeps its root system
-    # alive, so another one created later at the same address cannot read it
-    from fusionring.repring import _MONOMIAL_CACHE
+    # an lru_cache key holds its arguments, so an entry keeps its root
+    # system alive and another one created later at the same address
+    # cannot read it: an equal root system built afresh misses
+    info = repring._monomial.cache_info
     monomial_character(g2, (1, 1))
-    assert (g2, (1, 1)) in _MONOMIAL_CACHE
+    hits, misses = info().hits, info().misses
+    assert monomial_character(g2, [1, 1]) is monomial_character(g2, (1, 1))
+    assert (info().hits, info().misses) == (hits + 2, misses)
+    monomial_character(rootdata._build.__wrapped__("G", 2), (0, 0))
+    assert info().misses == misses + 1

@@ -403,11 +403,23 @@ def test_verify_module_basis_rejects_a_level_bound_below_the_level(g2):
 
 
 def test_find_module_basis_rejects_bad_bounds(g2):
-    # the bound is checked against the requested level, not the base level 0
+    # the bound is checked against the base level the window is enumerated
+    # at: 1 for the face (0, 1) (twist order 2) at level 3
     with pytest.raises(InputError, match="level_bound must be at least the level"):
-        find_module_basis(g2, (0, 2), 3, level_bound=2)
+        find_module_basis(g2, (0, 1), 3, level_bound=0)
+    with pytest.raises(InputError, match="level_bound must be at least the level"):
+        find_module_basis(g2, (0, 2), 0, level_bound=-1)
     with pytest.raises(InputError, match="lambda_bound must be nonnegative"):
         find_module_basis(g2, (0, 2), 0, lambda_bound=-1)
+
+
+def test_find_module_basis_takes_its_default_bound_explicitly(a1, g2):
+    # on a face through the affine node the default level_bound is
+    # k0 + 2 h^vee at the base level k0 = k mod twist order, below k
+    assert find_module_basis(a1, (0,), 40000, level_bound=4) == \
+        find_module_basis(a1, (0,), 40000) == [(40000,)]
+    assert find_module_basis(g2, (0, 2), 5, level_bound=4) == \
+        find_module_basis(g2, (0, 2), 5)
 
 
 def test_find_module_basis_checks_the_seeds(g2):
