@@ -38,15 +38,12 @@ G2_MODULE_BASES = (
 )
 
 
-def _emit(args, payload: dict, text: str | None = None):
+def _emit(args, payload: dict, **texts):
+    """Write the JSON payload, or the text of the chosen format."""
     if args.format == "json":
         out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif args.format == "md" and text is not None:
-        out = text
-    elif args.format == "csv" and "csv" in payload:
-        out = payload["csv"]
     else:
-        out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        out = texts[args.format]
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)
@@ -73,37 +70,26 @@ def cmd_fusion(args) -> int:
     rs = build_root_system(args.group)
     table = fusion_table(rs, args.level)
     basis = alcove_weights(rs, args.level)
-    cells = {}
-    for a in basis:
-        for b in basis:
-            cells[f"{_weight_str(a)}*{_weight_str(b)}"] = sorted(
-                [list(w), c] for w, c in table[(a, b)].terms.items())
+    names = [_weight_str(w) for w in basis]
+    cells = {f"{a}*{b}": sorted([list(w), c] for w, c in table[(x, y)].terms.items())
+             for x, a in zip(basis, names) for y, b in zip(basis, names)}
     payload = _base_payload(args, str(rs.lie_type), args.level)
     payload.update({"basis": [list(w) for w in basis], "table": cells})
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow([""] + [_weight_str(b) for b in basis])
-    for a in basis:
-        writer.writerow([_weight_str(a)] + [
-            json.dumps(sorted([list(w), c] for w, c in table[(a, b)].terms.items()))
-            for b in basis])
-    payload["csv"] = buf.getvalue()
-    md = ["| * | " + " | ".join(_weight_str(b) for b in basis) + " |",
-          "|" + "---|" * (len(basis) + 1)]
-    for a in basis:
-        row = [f"| {_weight_str(a)}"]
-        for b in basis:
-            terms = table[(a, b)].terms
-            row.append(" + ".join(f"{c}{_weight_str(w)}" for w, c in sorted(terms.items()))
-                       or "0")
-        md.append(" | ".join(row) + " |")
-    _emit(args, payload, "\n".join(md) + "\n")
+    writer.writerow([""] + names)
+    for a in names:
+        writer.writerow([a] + [json.dumps(cells[f"{a}*{b}"]) for b in names])
+    md = ["| * | " + " | ".join(names) + " |", "|" + "---|" * (len(names) + 1)]
+    for a in names:
+        row = [" + ".join(f"{c}{_weight_str(w)}" for w, c in cells[f"{a}*{b}"]) or "0"
+               for b in names]
+        md.append(f"| {a} | " + " | ".join(row) + " |")
+    _emit(args, payload, csv=buf.getvalue(), md="\n".join(md) + "\n")
     return 0
 
 
 def cmd_verify_g2(args) -> int:
-    if args.level < 1:
-        raise InputError("the G2 generator list requires a positive level")
     rs = build_root_system("G2")
     gens = g2_fusion_ideal_generators(args.level)
     report = verify_presentation(rs, args.level, gens, primes=args.primes)
@@ -111,7 +97,7 @@ def cmd_verify_g2(args) -> int:
     payload["report"] = report.to_json_dict()
     text = (f"G2 level {args.level}: verdict {report.verdict}, "
             f"codim_Q={report.codim_q}, alcove={report.alcove_count}\n")
-    _emit(args, payload, text)
+    _emit(args, payload, md=text)
     return 0 if report.passed else 1
 
 
@@ -131,7 +117,7 @@ def cmd_census(args) -> int:
     for e in entries:
         lines.append(f"  S={list(e.subset)} type={e.centralizer_type} "
                      f"twist={e.twist_order} rank={e.module_rank}")
-    _emit(args, payload, "\n".join(lines) + "\n")
+    _emit(args, payload, md="\n".join(lines) + "\n")
     return 0
 
 
@@ -147,7 +133,7 @@ def cmd_complex(args) -> int:
     text = (f"{rs.lie_type} level {args.level}: ranks={list(spec.ranks)} "
             f"euler={spec.euler_characteristic()} d2={'ok' if d2.passed else 'FAIL'} "
             f"cokernel={'ok' if cok.passed else 'FAIL'} rank={cok.fusion_rank}\n")
-    _emit(args, payload, text)
+    _emit(args, payload, md=text)
     return 0 if ok else 1
 
 
@@ -164,7 +150,7 @@ def cmd_presentation(args) -> int:
     text = (f"{rs.lie_type} level {args.level}: {len(extraction.generators)} generators "
             f"(bound {extraction.generator_bound}), verdict {report.verdict}, "
             f"codim_Q={report.codim_q}\n")
-    _emit(args, payload, text)
+    _emit(args, payload, md=text)
     return 0 if report.passed else 1
 
 
@@ -184,7 +170,7 @@ def cmd_bases_check(args) -> int:
     lines = [f"{name}: rank {rep.module_rank} "
              f"{'pass' if rep.passed else 'FAIL ' + rep.failure}"
              for name, rep in results]
-    _emit(args, payload, "\n".join(lines) + "\n")
+    _emit(args, payload, md="\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
@@ -195,7 +181,7 @@ def cmd_verlinde(args) -> int:
     payload["report"] = report.to_json_dict()
     text = (f"{rs.lie_type} level {args.level}: max deviation "
             f"{report.max_abs_deviation:.3e} ({'pass' if report.passed else 'FAIL'})\n")
-    _emit(args, payload, text)
+    _emit(args, payload, md=text)
     return 0 if report.passed else 1
 
 
@@ -206,53 +192,49 @@ def _prime_list(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# every option a command can take, as passed to add_argument
+OPTIONS = {
+    "group": {"required": True, "help": "series plus rank, e.g. G2"},
+    "level": {"type": int, "required": True},
+    "primes": {"type": _prime_list, "default": DEFAULT_PRIMES},
+    "truncation": {"type": int, "default": None,
+                   "help": "level_bound of the truncated checks"},
+    "tol": {"type": float, "default": 1e-6},
+}
+
+# command: (handler, help, the options it reads, its formats); every
+# command also takes --format and --out
+COMMANDS = {
+    "fusion": (cmd_fusion, "full fusion table at one level",
+               ("group", "level"), ("json", "csv", "md")),
+    "verify-g2": (cmd_verify_g2, "verify the G2 fusion-ideal generators",
+                  ("level", "primes"), ("json", "md")),
+    "census": (cmd_census, "twisted representation-module census",
+               ("group",), ("json", "md")),
+    "complex": (cmd_complex, "resolution ranks, d^2 and cokernel checks",
+                ("group", "level", "truncation"), ("json", "md")),
+    "presentation": (cmd_presentation, "extract and verify a presentation",
+                     ("group", "level", "primes", "truncation"), ("json", "md")),
+    "bases-check": (cmd_bases_check, "verify the G2 module bases",
+                    ("group", "truncation"), ("json", "md")),
+    "verlinde": (cmd_verlinde, "numeric Verlinde cross-check",
+                 ("group", "level", "tol"), ("json", "md")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusionring",
         description="exact fusion rings of loop groups, with verification reports")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, group=True, level=True):
-        if group:
-            p.add_argument("--group", required=True, help="series plus rank, e.g. G2")
-        if level:
-            p.add_argument("--level", type=int, required=True)
-        p.add_argument("--primes", type=_prime_list, default=DEFAULT_PRIMES)
-        p.add_argument("--truncation", type=int, default=None,
-                       help="level-bound override for truncated checks")
-        p.add_argument("--format", choices=("json", "csv", "md"), default="json")
+    for name, (handler, help_text, options, formats) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument("--" + option, **OPTIONS[option])
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None)
-
-    p = sub.add_parser("fusion", help="full fusion table at one level")
-    common(p)
-    p.set_defaults(func=cmd_fusion)
-
-    p = sub.add_parser("verify-g2", help="verify the G2 fusion-ideal generators")
-    common(p, group=False)
-    p.set_defaults(func=cmd_verify_g2)
-
-    p = sub.add_parser("census", help="twisted representation-module census")
-    common(p, level=False)
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("complex", help="resolution ranks, d^2 and cokernel checks")
-    common(p)
-    p.set_defaults(func=cmd_complex)
-
-    p = sub.add_parser("presentation", help="extract and verify a presentation")
-    common(p)
-    p.set_defaults(func=cmd_presentation)
-
-    p = sub.add_parser("bases-check", help="verify the G2 module bases")
-    common(p, level=False)
-    p.set_defaults(func=cmd_bases_check)
-
-    p = sub.add_parser("verlinde", help="numeric Verlinde cross-check")
-    common(p)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_verlinde)
-
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -263,13 +245,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "truncation", None) is not None and \
-                getattr(args, "level", None) is not None and \
-                args.truncation < args.level:
-            raise InputError("truncation bound must be at least the level")
-        if getattr(args, "level", None) is not None and args.level < 0 \
-                and args.command != "verify-g2":
-            raise InputError("level must be nonnegative")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from operator import add, le, neg, sub
 
 from .errors import InputError
 
-INFINITE = None  # sentinel returned for non-zero-dimensional quotients
+INFINITE = "infinite"  # codimension of a non-zero-dimensional quotient
 
 
 def grevlex_key(e):

@@ -17,7 +17,7 @@ from operator import sub
 
 from .errors import InputError, InternalLimitError
 from .fusion import in_fusion_ideal
-from .groebner import INFINITE, FieldPoly, check_prime, quotient_codimension
+from .groebner import FieldPoly, check_prime, quotient_codimension
 from .repring import VirtualCharacter, fewer_weights_first, to_polynomial
 from .rootdata import RootSystem, _WalkTable, alcove_weights, full_weights, rho_walk
 from .twisted import (_bounds, _check_code_reach, _face_walk, _label_key, _search_basis,
@@ -33,7 +33,6 @@ class ComplexSpec:
     level: int
     degrees: tuple          # degrees[p] = faces with n - p nodes
     ranks: tuple            # free rank contributed by each degree
-    node_order: tuple       # affine node first
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * r for p, r in enumerate(self.ranks))
@@ -52,13 +51,12 @@ def build_complex(rs: RootSystem, k: int) -> ComplexSpec:
     n = rs.rank
     degrees = []
     ranks = []
-    nodes = range(n + 1)
     for p in range(n + 1):
-        faces = tuple(sorted(tuple(sorted(c)) for c in combinations(nodes, n - p)))
+        faces = tuple(sorted(tuple(sorted(c)) for c in combinations(range(n + 1), n - p)))
         degrees.append(faces)
         ranks.append(sum(centralizer_info(rs, f).module_rank for f in faces))
     spec = ComplexSpec(group=str(rs.lie_type), level=k, degrees=tuple(degrees),
-                       ranks=tuple(ranks), node_order=tuple(nodes))
+                       ranks=tuple(ranks))
     if spec.euler_characteristic() != 0:
         raise AssertionError("free resolution must have zero Euler characteristic")
     return spec
@@ -343,7 +341,7 @@ class PresentationReport:
     level: int
     generators: list
     membership: list
-    codim_q: int | None
+    codim_q: int | str | None   # INFINITE, or None when membership failed
     codim_fp: dict
     alcove_count: int
     primes: tuple
@@ -354,19 +352,17 @@ class PresentationReport:
         return self.verdict == "pass"
 
     def to_json_dict(self):
-        def codim(v):
-            return "infinite" if v is INFINITE else v
         return {"group": self.group, "level": self.level,
                 "generators": [g.to_json_dict() for g in self.generators],
                 "membership": self.membership,
-                "codim_Q": codim(self.codim_q),
-                "codim_Fp": {str(p): codim(v) for p, v in sorted(self.codim_fp.items())},
+                "codim_Q": self.codim_q,
+                "codim_Fp": {str(p): v for p, v in sorted(self.codim_fp.items())},
                 "alcove_count": self.alcove_count,
                 "primes": list(self.primes), "verdict": self.verdict}
 
 
-def verify_presentation(rs: RootSystem, k: int, gens, primes=DEFAULT_PRIMES,
-                        run_codimension: bool = True) -> PresentationReport:
+def verify_presentation(rs: RootSystem, k: int, gens,
+                        primes=DEFAULT_PRIMES) -> PresentationReport:
     """Certify a generator list against the oracle and by quotient codimension.
 
     Membership is exact integer folding.  The codimension of the quotient
@@ -389,7 +385,7 @@ def verify_presentation(rs: RootSystem, k: int, gens, primes=DEFAULT_PRIMES,
     verdict = "pass"
     if not all(membership):
         verdict = "fail"
-    elif run_codimension:
+    else:
         polys = [to_polynomial(rs, g).terms for g in gens]
         q_gens = [FieldPoly(rs.rank, p, None) for p in polys]
         codim_q = quotient_codimension(q_gens)

@@ -20,13 +20,16 @@ def test_fusion_table_g2_level_one(capsys, tmp_path):
     assert payload["basis"] == [[0, 0], [1, 0]]
     assert payload["table"]["(1,0)*(1,0)"] == [[[0, 0], 1], [[1, 0], 1]]
     assert payload["version"]
-    # csv format includes one row per basis weight
+    assert "csv" not in payload and "primes" not in payload["config"]
+    # csv format: a header row, then one row per basis weight
     out_file = tmp_path / "table.csv"
     code = main(["fusion", "--group", "G2", "--level", "1", "--format", "csv",
                  "--out", str(out_file)])
     assert code == 0
-    lines = out_file.read_text().strip().splitlines()
-    assert len(lines) == 3
+    assert out_file.read_bytes() == (
+        b',"(0,0)","(1,0)"\r\n'
+        b'"(0,0)","[[[0, 0], 1]]","[[[1, 0], 1]]"\r\n'
+        b'"(1,0)","[[[1, 0], 1]]","[[[0, 0], 1], [[1, 0], 1]]"\r\n')
 
 
 def test_fusion_vacuum_table(capsys):
@@ -66,6 +69,7 @@ def test_verify_g2_exit_codes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["report"]["verdict"] == "pass"
+    assert payload["config"]["primes"] == [2, 3]
     code, _, err = run(capsys, ["verify-g2", "--level", "0"])
     assert code == 2
 
@@ -77,6 +81,9 @@ def test_invalid_inputs_exit_two(capsys):
     assert run(capsys, ["complex", "--group", "G2", "--level", "3",
                         "--truncation", "1"])[0] == 2
     assert run(capsys, ["bases-check", "--group", "A2"])[0] == 2
+    # a flag or format the command does not read is rejected, not ignored
+    assert run(capsys, ["verify-g2", "--level", "2", "--truncation", "4"])[0] == 2
+    assert run(capsys, ["census", "--group", "G2", "--format", "csv"])[0] == 2
 
 
 def test_census_command(capsys):
@@ -101,6 +108,7 @@ def test_complex_command(capsys):
     assert payload["d_squared"]["passed"]
     assert payload["cokernel"]["passed"]
     assert payload["cokernel"]["fusion_rank"] == 6
+    assert "primes" not in payload["config"]
 
 
 def test_presentation_command(capsys):
@@ -110,6 +118,24 @@ def test_presentation_command(capsys):
     payload = json.loads(out)
     assert payload["report"]["codim_Q"] == 8
     assert payload["report"]["verdict"] == "pass"
+    assert payload["config"]["primes"] == [2, 3, 5]
+
+
+def test_codimension_sentinels(capsys, monkeypatch):
+    # a codimension that was never computed is null; an infinite one is
+    # "infinite" in the JSON and in the text
+    import fusionring.cli as cli
+    from fusionring.repring import VirtualCharacter
+    for weight, codim in (((0, 0), None), ((4, 0), "infinite")):
+        monkeypatch.setattr(cli, "g2_fusion_ideal_generators",
+                            lambda k, weight=weight: [VirtualCharacter.irrep(weight)])
+        code, out, _ = run(capsys, ["verify-g2", "--level", "2", "--primes", "2"])
+        assert code == 1
+        report = json.loads(out)["report"]
+        assert report["codim_Q"] == codim
+        assert report["codim_Fp"] == ({} if codim is None else {"2": codim})
+        code, out, _ = run(capsys, ["verify-g2", "--level", "2", "--format", "md"])
+        assert f"codim_Q={codim}," in out
 
 
 def test_bases_check_command(capsys):
@@ -155,6 +181,39 @@ def test_internal_limit_messages_name_a_bound():
     assert raised
 
 
+def test_commands_read_exactly_their_options():
+    # each command's handler reads every option it declares and no other,
+    # apart from --format and --out, which _emit reads; the parser offers
+    # each command exactly its declared options and formats
+    import inspect
+    import fusionring.cli as cli
+    parser = cli.build_parser()
+    for name, (handler, _, options, formats) in cli.COMMANDS.items():
+        nodes = list(ast.walk(ast.parse(inspect.getsource(handler))))
+        read = {node.attr for node in nodes if isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "args"}
+        assert set(options) <= read, name
+        assert read - set(options) <= {"format", "out"}, name
+        # the texts handed to _emit are exactly the formats besides JSON
+        texts = {kw.arg for node in nodes if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_emit" for kw in node.keywords}
+        assert texts == set(formats) - {"json"}, name
+        argv = [name]
+        for option in options:
+            if cli.OPTIONS[option].get("required"):
+                argv += ["--" + option, "G2" if option == "group" else "1"]
+        args = parser.parse_args(argv)
+        assert set(vars(args)) == {"command", "func", "format", "out", *options}, name
+        assert args.func is handler
+        for fmt in ("json", "csv", "md"):
+            try:
+                accepted = parser.parse_args(argv + ["--format", fmt]).format == fmt
+            except SystemExit:
+                accepted = False
+            assert accepted == (fmt in formats), (name, fmt)
+    assert set().union(*(c[2] for c in cli.COMMANDS.values())) == set(cli.OPTIONS)
+
+
 def test_characters_multiply_through_one_factor_rule():
     # outside repring, characters multiply by Klimyk sums, never through
     # tensor_product; the rule for the factor a product expands is one
@@ -187,13 +246,13 @@ def test_composite_primes_exit_two(capsys):
 # float max_abs_deviation depends on the platform's libm.
 GOLDEN_CORPUS = (
     ("fusion --group G2 --level 3",
-     "27a3744deaf98febc20ac632423e0a143b59359df08d86d71c3cc348afb6775f"),
+     "2aea47b9c8b43864fd0df0d646ff91f06c10f68c30fbf596c30e6c0a86da3cca"),
     ("census --group E8",
-     "59279b7fe8af08f9ecd60e0e309d15c11b03b89c3f2f4eb53b70b071416b62e3"),
+     "d7073a6eac36f85223bf85eaa9c4c481826f8b63d49767c1751584bdd80b1970"),
     ("complex --group A2 --level 2",
-     "ad631db38f0b07b259b665f8ea0c23c9a9df5331412b0201c47b51fe9e998f33"),
+     "6c85cd3622d1ad12702cde3a6f503fe2fcdd900c847989a19f25690e50db1bda"),
     ("complex --group B3 --level 1",
-     "f8109a2e3840b30f965458337cbfab14399435e7d4bd37ab03d399c21bf127e5"),
+     "5dde8b9916421fe2f74ec921224608efbc478d8b58ed6a3819d63a94ef864450"),
     ("presentation --group A1 --level 3",
      "9b2557fd805dfc3b3240653113c6837670798776ecc925c1b95ca959e345fb2f"),
     ("presentation --group B2 --level 1",
@@ -201,7 +260,7 @@ GOLDEN_CORPUS = (
     ("verify-g2 --level 3",
      "72aac71a3dcd39730c9cd868ef07b66391611a3bca8804c043890a067c1bcb2f"),
     ("bases-check --group G2",
-     "0c55d5f0e52e85fd90040b1238e2cefd01ce02ccb2a5d711b883adced606337b"),
+     "72de9f36ce2e0da8e482e960caf94db056c8906ef66490fa2c5df8b31b50cbbf"),
 )
 
 
