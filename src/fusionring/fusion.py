@@ -10,6 +10,7 @@ Verlinde evaluation is advisory only.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from operator import mul
 
@@ -163,8 +164,8 @@ def verlinde_numeric_check(rs: RootSystem, k: int, tol: float = 1e-6) -> Verlind
     mu + rho over k + h_vee; the normalization is fixed by unitarity of the
     vacuum row.  Advisory only: no exact result depends on this check.
     """
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise InputError("tolerance must be positive and finite")
     basis = alcove_weights(rs, k)
     smat = _s_matrix(rs, basis, k)
     vac = smat[basis.index((0,) * rs.rank)]

@@ -111,6 +111,25 @@ def weyl_order_of_type(series: str, rank: int) -> int:
     return _WEYL_ORDER_EXC[(series, rank)]
 
 
+# (positive roots, short simple roots) of each series at rank r
+_ROOT_COUNTS = {"A": lambda r: (r * (r + 1) // 2, 0), "B": lambda r: (r * r, 1),
+                "C": lambda r: (r * r, r - 1), "D": lambda r: (r * (r - 1), 0),
+                "E": lambda r: ({6: 36, 7: 63, 8: 120}[r], 0),
+                "F": lambda r: (24, 2), "G": lambda r: (6, 1)}
+
+
+def connected_type(rank: int, roots: int, shorts: int) -> tuple:
+    """(series, rank) of the connected Dynkin diagram with rank nodes,
+    roots positive roots and shorts short simple roots: these counts fix a
+    simple type.  Series are tried in _RANK_RANGE order at the ranks each
+    allows, so of the coincidences C2 = B2 and D3 = A3 the first is named."""
+    for series, (lo, hi) in _RANK_RANGE.items():
+        if lo <= rank <= (hi or rank) and _ROOT_COUNTS[series](rank) == (roots, shorts):
+            return series, rank
+    raise AssertionError(f"no connected type of rank {rank} has {roots} positive "
+                         f"roots and {shorts} short simple roots")
+
+
 def _mat_inverse(a):
     n = len(a)
     m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]

@@ -22,8 +22,8 @@ from .errors import InputError, InternalLimitError
 from .intlinalg import ZEchelon
 from .repring import VirtualCharacter
 from .rootdata import (RootSystem, _WalkTable, _check_weight, _integer_form,
-                       _node_root, alcove_weights, chamber_walk, full_weights,
-                       reflection_orbit, subsystem_positive_roots,
+                       _node_root, alcove_weights, chamber_walk, connected_type,
+                       full_weights, reflection_orbit, subsystem_positive_roots,
                        weyl_order_of_type)
 from .sparse import Sparse, addmul
 
@@ -70,74 +70,23 @@ def _pairing(rs, i: int, j: int) -> int:
 
 
 def classify_centralizer(rs: RootSystem, subset) -> tuple:
-    """Irreducible component types of the face subsystem, largest first."""
+    """Irreducible component types of the face subsystem, largest first.
+
+    Nodes with a nonzero pairing share a component; each component is
+    typed by its node, positive-root and short-node counts
+    (rootdata.connected_type).  Node 0 carries a long root."""
     subset = face_subset(rs, subset)
-    if not subset:
-        return ()
-    lengths = {i: Fraction(1) if i == 0 else rs.root_lengths[i - 1] for i in subset}
-    adj = {i: [] for i in subset}
-    for i in subset:
-        for j in subset:
-            if i != j and _pairing(rs, i, j) != 0:
-                adj[i].append(j)
-    seen = set()
     comps = []
-    for start in subset:
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    types = [_classify_component(rs, comp, adj, lengths) for comp in comps]
+    for i in subset:
+        linked = [c for c in comps if any(_pairing(rs, i, j) for j in c)]
+        comps = [c for c in comps if c not in linked] + [tuple(sorted(sum(linked, (i,))))]
+    length = {0: 1, **dict(enumerate(rs.root_lengths, 1))}
+    types = []
+    for comp in comps:
+        longest = max(length[i] for i in comp)
+        shorts = sum(length[i] < longest for i in comp)
+        types.append(connected_type(len(comp), len(subsystem_positive_roots(rs, comp)), shorts))
     return tuple(sorted(types, key=lambda t: (-t[1], t[0])))
-
-
-def _classify_component(rs, comp, adj, lengths):
-    r = len(comp)
-    if r == 1:
-        return ("A", 1)
-    bonds = [_pairing(rs, u, v) * _pairing(rs, v, u)
-             for u in comp for v in adj[u] if u < v]
-    if 3 in bonds:
-        return ("G", 2)
-    if all(b == 1 for b in bonds):
-        degrees = {u: len(adj[u]) for u in comp}
-        if max(degrees.values()) <= 2:
-            return ("A", r)
-        hub = next(u for u, d in degrees.items() if d == 3)
-        arms = []
-        for v in adj[hub]:
-            length, prev, cur = 1, hub, v
-            while True:
-                ahead = [w for w in adj[cur] if w != prev]
-                if not ahead:
-                    break
-                prev, cur = cur, ahead[0]
-                length += 1
-            arms.append(length)
-        arms.sort()
-        if arms[1] == 1:
-            return ("D", r)
-        return ("E", r)
-    longest = max(lengths[u] for u in comp)
-    shorts = sum(1 for u in comp if lengths[u] < longest)
-    if r == 2:
-        return ("B", 2)
-    if shorts == 2 and r == 4 and shorts != r - 1:
-        return ("F", 4)
-    if shorts == 1:
-        return ("B", r)
-    if shorts == r - 1:
-        return ("C", r)
-    raise AssertionError(f"unclassifiable component {comp}")
 
 
 def centralizer_type_string(types) -> str:
@@ -201,7 +150,9 @@ def _beta2(rs, subset, w):
 def _face_walk(rs: RootSystem, subset: tuple, k: int):
     """The chamber-walk kernel (rootdata.chamber_walk) of a validated face
     at level k: the face's linear walls, the shift 2 rho_S, and the affine
-    wall at level k when the face holds node 0."""
+    wall at level k when the face holds node 0.  A negative level is an
+    InputError."""
+    _bounds(rs, k)
     return chamber_walk(rs, tuple(i - 1 for i in subset if i), rho2(rs, subset),
                         2 * k if 0 in subset else None)
 
@@ -220,6 +171,7 @@ def regularize_affine(rs: RootSystem, subset, k: int, w):
 
 def is_valid_label(rs: RootSystem, subset, k: int, mu) -> bool:
     subset = face_subset(rs, subset)
+    _bounds(rs, k)
     beta = _beta2(rs, subset, _check_weight(rs, mu))
     for i in subset:
         if i != 0 and beta[i - 1] <= 0:

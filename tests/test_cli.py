@@ -84,6 +84,10 @@ def test_invalid_inputs_exit_two(capsys):
     # a flag or format the command does not read is rejected, not ignored
     assert run(capsys, ["verify-g2", "--level", "2", "--truncation", "4"])[0] == 2
     assert run(capsys, ["census", "--group", "G2", "--format", "csv"])[0] == 2
+    # a tolerance must be finite: nan would fail and inf pass any deviation,
+    # and neither is JSON
+    assert run(capsys, ["verlinde", "--group", "A1", "--level", "2", "--tol", "nan"])[0] == 2
+    assert run(capsys, ["verlinde", "--group", "A1", "--level", "2", "--tol", "inf"])[0] == 2
 
 
 def test_census_command(capsys):

@@ -8,8 +8,9 @@ import pytest
 from fusionring import (InputError, LieType, alcove_weights, build_root_system,
                         full_weights, shifted_dominant_reduce,
                         weight_multiplicity, weyl_dimension, weyl_orbit)
-from fusionring.rootdata import dominant_reduce, reflection_orbit, weyl_orbit_signed
-from fusionring.twisted import centralizer_info
+from fusionring.rootdata import (connected_type, dominant_reduce, reflection_orbit,
+                                 weyl_orbit_signed)
+from fusionring.twisted import centralizer_info, classify_centralizer
 
 ALL_SMALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -122,6 +123,24 @@ def _det(m):
 ])
 def test_weyl_order_table(name, order):
     assert build_root_system(name).weyl_order == order
+
+
+@pytest.mark.parametrize("series,rank", ALL_SMALL_TYPES)
+def test_connected_type_names_each_root_system(series, rank):
+    # the counts of the whole system give its type, up to the aliases
+    # C2 = B2 and D3 = A3; so does its diagram without the affine node
+    rs = build_root_system(f"{series}{rank}")
+    want = {("C", 2): ("B", 2), ("D", 3): ("A", 3)}.get((series, rank), (series, rank))
+    shorts = sum(d < 1 for d in rs.root_lengths)
+    assert connected_type(rank, len(rs.positive_roots), shorts) == want
+    assert classify_centralizer(rs, range(1, rank + 1)) == (want,)
+
+
+@pytest.mark.parametrize("counts", [(2, 5, 0), (3, 6, 1), (5, 36, 0), (9, 120, 0)])
+def test_connected_type_rejects_counts_of_no_type(counts):
+    # an E count at a rank E does not have is no match, not a KeyError
+    with pytest.raises(AssertionError, match="no connected type"):
+        connected_type(*counts)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "C2", "G2", "A3", "B3", "D3"])

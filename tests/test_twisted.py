@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 
 from fusionring import (InputError, InternalLimitError, TwistedModuleElement, VirtualCharacter,
                         alcove_weights, build_root_system, census, centralizer_info,
-                        enumerate_labels, face_subset, find_module_basis,
+                        d1_component, enumerate_labels, face_subset, find_module_basis,
                         full_weights, module_element_expansion,
                         regularize_affine, rg_multiply, rho_S, tensor_product,
                         twist_order, verify_module_basis)
@@ -108,21 +110,37 @@ def test_census_e8():
     assert [e.centralizer_type for e in beyond if e.twist_order == 4] == ["A3+A3+A1"]
 
 
-@pytest.mark.parametrize("series,rank", ALL_SMALL_TYPES)
-def test_centralizer_rank_factorization(series, rank):
+def _face_infos(series, rank):
+    """(root system, subset, centralizer_info) of every proper face, by node mask."""
     rs = build_root_system(f"{series}{rank}")
     n = rs.rank
     for mask in range(2 ** (n + 1) - 1):
         subset = tuple(i for i in range(n + 1) if mask >> i & 1)
-        info = centralizer_info(rs, subset)
+        yield rs, subset, centralizer_info(rs, subset)
+
+
+@pytest.mark.parametrize("series,rank", ALL_SMALL_TYPES)
+def test_centralizer_rank_factorization(series, rank):
+    for rs, subset, info in _face_infos(series, rank):
         assert info.module_rank * info.weyl_order == rs.weyl_order
-        comps = [i for i in range(n + 1) if i not in subset]
+        comps = [i for i in range(rs.rank + 1) if i not in subset]
         g = 0
         for i in comps:
             g = gcd(g, rs.comarks[i])
         assert info.twist_order == g
         for i in comps:
             assert rs.comarks[i] % info.twist_order == 0
+
+
+def test_every_face_type_is_pinned():
+    # the type of each of the 4 963 proper faces up to rank 8: the Weyl
+    # order check above misses a B_r/C_r or a D/E swap
+    rows = [[f"{series}{rank}", list(subset), info.centralizer_type]
+            for series, rank in ALL_SMALL_TYPES
+            for _, subset, info in _face_infos(series, rank)]
+    assert len(rows) == 4963
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        "9650dd955d983530a7887f7a4ba488e6edb161427eccf7a85ad9a32ec829da71"
 
 
 def _face_orbit(rs, subset, k, w):
@@ -395,6 +413,20 @@ def test_basis_calls_reject_a_negative_level(g2):
         find_module_basis(g2, (0, 2), -1)
     with pytest.raises(InputError, match="level must be nonnegative"):
         enumerate_labels(g2, (0, 2), -1, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g2: is_valid_label(g2, (0, 1), -1, (0, -2)),
+    lambda g2: regularize_affine(g2, (0, 1), -1, (0, -2)),
+    lambda g2: d1_component(g2, (1,), 0, -1, (0, -2)),
+    lambda g2: TwistedModuleElement.label(g2, (0, 1), -1, (0, -2)),
+    lambda g2: module_element_expansion(g2, (0, 1), -1, (0, -2)),
+], ids=["is_valid_label", "regularize_affine", "d1_component", "label",
+        "module_element_expansion"])
+def test_face_walks_reject_a_negative_level(g2, call):
+    # each walks a face, and there is no alcove at a negative level
+    with pytest.raises(InputError, match="level must be nonnegative"):
+        call(g2)
 
 
 def test_verify_module_basis_rejects_a_level_bound_below_the_level(g2):
