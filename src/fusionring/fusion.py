@@ -19,7 +19,7 @@ from .repring import VirtualCharacter, fewer_weights_first
 from .rootdata import (RootSystem, _WalkTable, _check_weight, _integer_form,
                        alcove_weights, full_weights, rho_walk,
                        weyl_orbit_signed)
-from .sparse import Sparse, addmul
+from .sparse import Report, Sparse, addmul
 
 
 class FusionElement(Sparse):
@@ -116,18 +116,13 @@ def fusion_table(rs: RootSystem, k: int) -> dict:
 
 
 @dataclass
-class VerlindeReport:
+class VerlindeReport(Report):
     group: str
     level: int
     tol: float
     max_abs_deviation: float
     entries_checked: int
     passed: bool
-
-    def to_json_dict(self):
-        return {"group": self.group, "level": self.level, "tol": self.tol,
-                "max_abs_deviation": self.max_abs_deviation,
-                "entries_checked": self.entries_checked, "passed": self.passed}
 
 
 def _s_matrix(rs: RootSystem, basis: list, k: int) -> list:

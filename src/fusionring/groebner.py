@@ -66,6 +66,8 @@ class FieldPoly:
         for e, c in dict(terms or {}).items():
             if len(e) != nvars:
                 raise InputError("exponent vector length mismatch")
+            if min(e, default=0) < 0:
+                raise InputError(f"exponent vector {tuple(e)} has a negative entry")
             c = self._coerce(c)
             if c:
                 clean[tuple(e)] = c

@@ -19,7 +19,9 @@ from .errors import InputError, InternalLimitError
 from .fusion import in_fusion_ideal
 from .groebner import FieldPoly, check_prime, quotient_codimension
 from .repring import VirtualCharacter, fewer_weights_first, to_polynomial
-from .rootdata import RootSystem, _WalkTable, alcove_weights, full_weights, rho_walk
+from .rootdata import (RootSystem, _WalkTable, _check_weight, alcove_weights, full_weights,
+                       rho_walk)
+from .sparse import Report
 from .twisted import (_bounds, _check_code_reach, _face_walk, _label_key, _search_basis,
                       centralizer_info, enumerate_labels, face_subset,
                       find_module_basis, is_valid_label, regularize_affine)
@@ -28,7 +30,7 @@ DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 @dataclass
-class ComplexSpec:
+class ComplexSpec(Report):
     group: str
     level: int
     degrees: tuple          # degrees[p] = faces with n - p nodes
@@ -38,10 +40,7 @@ class ComplexSpec:
         return sum((-1) ** p * r for p, r in enumerate(self.ranks))
 
     def to_json_dict(self):
-        return {"group": self.group, "level": self.level,
-                "degrees": [[list(s) for s in faces] for faces in self.degrees],
-                "ranks": list(self.ranks),
-                "euler_characteristic": self.euler_characteristic()}
+        return {**super().to_json_dict(), "euler_characteristic": self.euler_characteristic()}
 
 
 def build_complex(rs: RootSystem, k: int) -> ComplexSpec:
@@ -72,13 +71,9 @@ def d1_component(rs: RootSystem, subset, j: int, k: int, mu):
     if j in subset:
         raise InputError(f"node {j} already lies in the face {subset}")
     target = face_subset(rs, subset + (j,))
-    complement = [i for i in range(rs.rank + 1) if i not in subset]
-    s = complement.index(j)
-    red = regularize_affine(rs, target, k, tuple(mu))
-    if red is None:
-        return None
-    label, sign = red
-    return label, sign * (-1) ** s
+    kernel, sign = next((kn, s) for t, kn, s in _cofaces(rs, subset, k) if t == target)
+    red = kernel.walk(_check_weight(rs, mu))
+    return None if red is None else (red[0], red[1] * sign)
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +97,7 @@ def _add(out, label, c):
 
 
 @dataclass
-class D2Report:
+class D2Report(Report):
     group: str
     level: int
     level_bound: int
@@ -112,10 +107,7 @@ class D2Report:
     violations: list = field(default_factory=list)
 
     def to_json_dict(self):
-        return {"group": self.group, "level": self.level, "level_bound": self.level_bound,
-                "modules_checked": self.modules_checked,
-                "labels_checked": self.labels_checked, "passed": self.passed,
-                "violations": [str(v) for v in self.violations]}
+        return {**super().to_json_dict(), "violations": list(map(str, self.violations))}
 
 
 def d_squared_check(rs: RootSystem, k: int, level_bound: int | None = None) -> D2Report:
@@ -162,7 +154,7 @@ def d_squared_check(rs: RootSystem, k: int, level_bound: int | None = None) -> D
 
 
 @dataclass
-class CokernelReport:
+class CokernelReport(Report):
     group: str
     level: int
     level_bound: int
@@ -173,15 +165,6 @@ class CokernelReport:
     spans_fusion_ring: bool
     passed: bool
     first_failure: str = ""
-
-    def to_json_dict(self):
-        return {"group": self.group, "level": self.level, "level_bound": self.level_bound,
-                "fusion_rank": self.fusion_rank,
-                "edge_labels_checked": self.edge_labels_checked,
-                "vertex_labels_checked": self.vertex_labels_checked,
-                "edge_images_vanish": self.edge_images_vanish,
-                "spans_fusion_ring": self.spans_fusion_ring,
-                "passed": self.passed, "first_failure": self.first_failure}
 
 
 def cokernel_vs_oracle(rs: RootSystem, k: int, level_bound: int | None = None) -> CokernelReport:
@@ -234,7 +217,7 @@ def cokernel_vs_oracle(rs: RootSystem, k: int, level_bound: int | None = None) -
 
 
 @dataclass
-class ExtractionReport:
+class ExtractionReport(Report):
     group: str
     level: int
     generators: list
@@ -242,13 +225,6 @@ class ExtractionReport:
     generator_bound: int
     level_bound: int
     lambda_bound: int
-
-    def to_json_dict(self):
-        return {"group": self.group, "level": self.level,
-                "generators": [g.to_json_dict() for g in self.generators],
-                "per_edge_counts": {str(k_): v for k_, v in self.per_edge_counts.items()},
-                "generator_bound": self.generator_bound,
-                "level_bound": self.level_bound, "lambda_bound": self.lambda_bound}
 
 
 def extract_presentation(rs: RootSystem, k: int,
@@ -336,13 +312,14 @@ def g2_fusion_ideal_generators(k: int) -> list:
 
 
 @dataclass
-class PresentationReport:
+class PresentationReport(Report):
     group: str
     level: int
     generators: list
     membership: list
-    codim_q: int | str | None   # INFINITE, or None when membership failed
-    codim_fp: dict
+    # codim_q is INFINITE, or None when membership failed
+    codim_q: int | str | None = field(metadata={"json": "codim_Q"})
+    codim_fp: dict = field(metadata={"json": "codim_Fp"})
     alcove_count: int
     primes: tuple
     verdict: str
@@ -350,15 +327,6 @@ class PresentationReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def to_json_dict(self):
-        return {"group": self.group, "level": self.level,
-                "generators": [g.to_json_dict() for g in self.generators],
-                "membership": self.membership,
-                "codim_Q": self.codim_q,
-                "codim_Fp": {str(p): v for p, v in sorted(self.codim_fp.items())},
-                "alcove_count": self.alcove_count,
-                "primes": list(self.primes), "verdict": self.verdict}
 
 
 def verify_presentation(rs: RootSystem, k: int, gens,
@@ -371,7 +339,7 @@ def verify_presentation(rs: RootSystem, k: int, gens,
     codimension equals the alcove count.  Primes outside the list are not
     certified, which callers should report alongside the verdict.
     """
-    gens = list(gens)
+    gens, primes = list(gens), tuple(primes)
     if not gens:
         raise InputError("generator list must be nonempty")
     if not primes:
@@ -399,4 +367,4 @@ def verify_presentation(rs: RootSystem, k: int, gens,
     return PresentationReport(group=str(rs.lie_type), level=k, generators=gens,
                               membership=membership, codim_q=codim_q,
                               codim_fp=codim_fp, alcove_count=alcove_count,
-                              primes=tuple(primes), verdict=verdict)
+                              primes=primes, verdict=verdict)

@@ -4,9 +4,12 @@ Characters in R(G), their images in the fusion ring, invariant-module
 elements, polynomials in the fundamental characters and echelon rows are
 all such maps.  ``addmul`` is the one add-and-prune loop; ``Sparse`` is the
 immutable element type, tagged by the space it lives in.  Zero
-coefficients are never stored.
+coefficients are never stored.  ``to_json`` is the one JSON form of a
+report and of everything a report holds.
 """
 from __future__ import annotations
+
+from dataclasses import fields, is_dataclass
 
 from .errors import InputError
 
@@ -95,8 +98,7 @@ class Sparse:
         return f"{type(self).__name__}({space}{bits})"
 
     def to_json_dict(self):
-        out = {f: list(v) if isinstance(v, tuple) else v
-               for f, v in zip(self._fields, self._space())}
+        out = {f: to_json(v) for f, v in zip(self._fields, self._space())}
         out["terms"] = [{self._key: list(w), "coeff": c}
                         for w, c in sorted(self.terms.items())]
         return out
@@ -105,3 +107,27 @@ class Sparse:
     def from_json_dict(cls, d):
         return cls(*(d[f] for f in cls._fields),
                    {tuple(t[cls._key]): t["coeff"] for t in d["terms"]})
+
+
+def to_json(value):
+    """The JSON form of a value: a dataclass maps each field, under its name
+    or its ``metadata["json"]``, to the form of its value; a ``Sparse``
+    element gives its own; tuples and lists become lists and dict keys
+    strings."""
+    if is_dataclass(value):
+        return {f.metadata.get("json", f.name): to_json(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, Sparse):
+        return value.to_json_dict()
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): to_json(v) for k, v in value.items()}
+    return value
+
+
+class Report:
+    """A report dataclass, written to JSON field by field by ``to_json``."""
+
+    def to_json_dict(self):
+        return to_json(self)

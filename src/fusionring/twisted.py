@@ -25,7 +25,7 @@ from .rootdata import (RootSystem, _WalkTable, _check_weight, _integer_form,
                        _node_root, alcove_weights, chamber_walk, connected_type,
                        full_weights, reflection_orbit, subsystem_positive_roots,
                        weyl_order_of_type)
-from .sparse import Sparse, addmul
+from .sparse import Report, Sparse, addmul
 
 
 def face_subset(rs: RootSystem, nodes) -> tuple:
@@ -100,17 +100,12 @@ def centralizer_weyl_order(types) -> int:
 
 
 @dataclass(frozen=True)
-class CentralizerInfo:
+class CentralizerInfo(Report):
     subset: tuple
     centralizer_type: str
     weyl_order: int
     module_rank: int
     twist_order: int
-
-    def to_json_dict(self):
-        return {"subset": list(self.subset), "centralizer_type": self.centralizer_type,
-                "twist_order": self.twist_order, "module_rank": self.module_rank,
-                "weyl_order": self.weyl_order}
 
 
 def centralizer_info(rs: RootSystem, subset) -> CentralizerInfo:
@@ -372,7 +367,7 @@ def _certify_spanning(ech, window, key):
 
 
 @dataclass
-class BasisReport:
+class BasisReport(Report):
     group: str
     subset: tuple
     level: int
@@ -383,13 +378,6 @@ class BasisReport:
     passed: bool
     failure: str = ""
     labels_checked: int = 0
-
-    def to_json_dict(self):
-        return {"group": self.group, "subset": list(self.subset), "level": self.level,
-                "candidates": [list(c) for c in self.candidates],
-                "module_rank": self.module_rank, "level_bound": self.level_bound,
-                "lambda_bound": self.lambda_bound, "labels_checked": self.labels_checked,
-                "passed": self.passed, "failure": self.failure}
 
 
 def verify_module_basis(rs: RootSystem, subset, k: int, candidates,
@@ -571,12 +559,12 @@ def _shifted(a: dict, by) -> dict:
     return {tuple(map(add, e, by)): c for e, c in a.items()}
 
 
-def _antisymmetrize(rs, subset, k, point2):
+def _antisymmetrize(rs, subset, k, point2, order):
     """Signed orbit of a regular doubled point under the level-k face group,
-    which must be a copy of the group."""
+    which must be a copy of the group, of the given order."""
     orbit = reflection_orbit(rs, tuple(i - 1 for i in subset if i),
                              2 * k if 0 in subset else None, point2)
-    if len(orbit) != centralizer_info(rs, subset).weyl_order:
+    if len(orbit) != order:
         raise AssertionError(f"orbit of {point2} is not as large as the group of {subset}")
     return orbit
 
@@ -606,8 +594,9 @@ def module_element_expansion(rs: RootSystem, subset, k: int, mu) -> dict:
     mu = _check_weight(rs, mu)
     if _face_walk(rs, subset, k).walk(mu) is None:
         return {}
-    num = _antisymmetrize(rs, subset, k, _beta2(rs, subset, mu))
-    den = _antisymmetrize(rs, subset, 0, rho2(rs, subset))
+    order = centralizer_info(rs, subset).weyl_order
+    num = _antisymmetrize(rs, subset, k, _beta2(rs, subset, mu), order)
+    den = _antisymmetrize(rs, subset, 0, rho2(rs, subset), order)
     quo2 = _laurent_divide_exact(num, den)
     if any(x % 2 for e in quo2 for x in e):
         raise AssertionError("expansion landed outside the weight lattice")

@@ -155,6 +155,11 @@ def test_verlinde_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["report"]["passed"]
+    # no golden digest covers verlinde (its float depends on libm), so pin
+    # the report's keys and the entry count: 6^3 for the 6 weights of A2 at level 2
+    assert set(payload["report"]) == {"group", "level", "tol", "max_abs_deviation",
+                                      "entries_checked", "passed"}
+    assert payload["report"]["entries_checked"] == 216
 
 
 def test_internal_limit_exits_three(capsys, monkeypatch):
@@ -236,6 +241,20 @@ def test_characters_multiply_through_one_factor_rule():
                     and getattr(node.args[0].func, "id", None) == "full_weights":
                 sizes += 1
     assert (rules, sizes) == (1, 1)
+
+
+def test_reports_share_one_serializer():
+    # every report is a sparse.Report dataclass written by sparse.to_json;
+    # only the mixin, Sparse and the two reports adding a value that no
+    # field stores define to_json_dict
+    owners = set()
+    for path in sorted(Path(fusionring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "to_json_dict"
+                    for item in node.body):
+                owners.add(node.name)
+    assert owners == {"Sparse", "Report", "ComplexSpec", "D2Report"}
 
 
 def test_composite_primes_exit_two(capsys):

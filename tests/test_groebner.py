@@ -160,6 +160,15 @@ def test_composite_modulus_rejected(g2):
             FieldPoly(1, {(1,): 1}, bad)
 
 
+def test_negative_exponents_rejected():
+    # x^-1 is not a polynomial; read as one it made the ideal a unit ideal
+    from fusionring import InputError
+    with pytest.raises(InputError, match=r"\(-1,\)"):
+        quotient_codimension([FieldPoly(1, {(-1,): 1})])
+    with pytest.raises(InputError, match=r"\(2, -3\)"):
+        FieldPoly(2, {(0, 0): 1, (2, -3): 4}, 5)
+
+
 def test_check_prime():
     from fusionring import InputError
     from fusionring.groebner import check_prime

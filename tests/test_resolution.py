@@ -334,6 +334,14 @@ def test_verify_presentation_detects_short_ideal(g2):
     assert report.codim_q is INFINITE or report.codim_q != report.alcove_count
 
 
+def test_verify_presentation_reads_a_one_shot_prime_iterator(g2):
+    # validating the primes once must not use them up before certifying
+    report = verify_presentation(g2, 1, g2_fusion_ideal_generators(1), primes=iter([2, 3]))
+    assert report.passed
+    assert report.primes == (2, 3)
+    assert report.codim_fp == {2: 2, 3: 2}
+
+
 def test_exploratory_minimal_presentation(g2):
     # recorded outcome only: omit the top-level generator at an even level
     gens = g2_fusion_ideal_generators(2)[:-1]

@@ -269,10 +269,16 @@ def test_module_element_expansion_checks_the_label(g2):
         module_element_expansion(g2, (0, 1), 1, (0, 0, 5))
 
 
-def test_module_element_expansion_of_a_large_face():
-    # the face group has 5040 elements; its orbit has no cap
+def test_module_element_expansion_of_a_large_face(monkeypatch):
+    # the face group has 5040 elements; its orbit has no cap.  The face is
+    # classified once per expansion, for both antisymmetrizers
     a6 = build_root_system("A6")
+    calls = []
+    info = twisted.centralizer_info
+    monkeypatch.setattr(twisted, "centralizer_info",
+                        lambda *args: calls.append(args) or info(*args))
     assert module_element_expansion(a6, range(1, 7), 0, (0,) * 6) == {(0,) * 6: 1}
+    assert len(calls) == 1
 
 
 def test_module_element_expansion_on_a_wall(g2):
