@@ -11,6 +11,7 @@ the 14-dimensional adjoint.  The affine node is indexed 0 everywhere.
 """
 from __future__ import annotations
 
+import linecache
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -386,6 +387,52 @@ def subsystem_positive_roots(rs: RootSystem, subset: tuple) -> tuple:
 ChamberWalk = namedtuple("ChamberWalk", "walk signed_sum")
 
 
+def _times(k, x: str) -> str:
+    return x if k == 1 else f"{k} * {x}"
+
+
+def _walk_source(rs, walls, shift2, level2, base, weights, den) -> str:
+    """Source of the walk of chamber_walk, unrolled over its constants:
+    b0 .. b{n-1} hold beta, and pass n of the loop has made n reflections."""
+    b = [f"b{j}" for j in range(rs.rank)]
+    beta = [f"2 * (w{j} + u{j})" + (f" + {s}" if s else "") for j, s in enumerate(shift2)]
+
+    def shear(c, vec):   # b += c vec on the nonzero entries of vec
+        return [f"    {x} += {_times(v, c)}" for x, v in zip(b, vec) if v]
+
+    body, nulls = [], [f"not b{i}" for i in walls]
+    for i in walls:      # b -= b_i alpha_i; off the diagonal, Cartan entries are <= 0
+        root = [0 if j == i else -x for j, x in enumerate(rs.simple_roots[i])]
+        body += [f"{'el' if body else ''}if b{i} < 0:", *shear(b[i], root), f"    b{i} = -b{i}"]
+    inside = []          # no linear wall is crossed: the affine wall, then the label
+    if level2 is not None:
+        inside += [f"lev = {' + '.join(map(_times, rs.comarks[1:], b))}", f"if lev > {level2}:",
+                   f"    c = {level2} - lev", *shear("c", rs.highest_root), "    continue"]
+        nulls.insert(0, f"lev == {level2}")
+    if nulls:
+        inside += [f"if {' or '.join(nulls)}:", "    return None"]
+    # b - s is odd where b is odd and s even, or b (so ~b) even and s odd
+    odd = " | ".join(f"~b{j}" if s & 1 else f"b{j}" for j, s in enumerate(shift2))
+    label = ", ".join(f"(b{j} - {s}) >> 1" if s else f"b{j} >> 1" for j, s in enumerate(shift2))
+    inside += [f"if ({odd}) & 1:", '    raise AssertionError("label is not an integral weight")',
+               f"return ({label},), -1 if n & 1 else 1"]
+    body = [*body, "else:", *("    " + x for x in inside)] if body else inside
+    lines = ["def walk(w, nu=zero):", f"    {''.join(f'w{j}, ' for j in range(rs.rank))}= w",
+             f"    {''.join(f'u{j}, ' for j in range(rs.rank))}= nu",
+             *(f"    b{j} = {x}" for j, x in enumerate(beta)),
+             f"    for n in range({base + 1}):", *("        " + x for x in body)]
+    if weights is None:
+        lines.append(f"    cap = {base}")
+    else:      # the derived cap, read off the original beta once past base
+        terms = " + ".join(f"{c} * abs({x})" for c, x in zip(weights, beta))
+        lines += [f"    cap = {base} + ({terms}) // {den}",
+                  f"    for n in range({base + 1}, cap + 1):", *("        " + x for x in body)]
+    lines.append(f'    raise AssertionError(f"chamber walk of {{tuple(map(add, w, nu))}} '
+                 f'exceeded its derived cap of {{cap}} reflections '
+                 f'(walls {walls}, doubled level {level2})")')
+    return "\n".join(lines) + "\n"
+
+
 @lru_cache(maxsize=None)
 def chamber_walk(rs: RootSystem, walls: tuple, shift2: tuple, level2) -> ChamberWalk:
     """The chamber-walk kernel of one reflection group, on doubled coordinates.
@@ -414,11 +461,17 @@ def chamber_walk(rs: RootSystem, walls: tuple, shift2: tuple, level2) -> Chamber
     |Phi+| + floor(sum_i |v_i| (omega_i, 2 rho) / m).  Exceeding a cap is a
     bug and raises AssertionError.  Cached per (root system, walls, shift,
     level), never per weight.
+
+    walk is generated Python (_walk_source), compiled once per kernel under
+    a filename naming its group, walls, shift and doubled level, so
+    profiles and tracebacks tell kernels apart.  It holds beta in one local
+    per coordinate, tries the walls in order, writes each reflection out
+    over the nonzero entries of its root and inlines the level, the label
+    and the parity check.  The cap is still checked: the cap of an affine
+    walk is read off w + nu only after |Phi+| reflections.  The tests
+    check every kernel against an interpreted walk (conftest.reference_walk).
     """
-    linear = tuple((i, rs.simple_roots[i]) for i in walls)
     affine = level2 is not None
-    theta = rs.highest_root
-    comarks = rs.comarks[1:]
     if affine and len(walls) == rs.rank:
         two_rho = [2 * sum(row) for row in rs.form]   # (omega_i, 2 rho)
         common = lcm(*(x.denominator for x in two_rho))
@@ -426,43 +479,16 @@ def chamber_walk(rs: RootSystem, walls: tuple, shift2: tuple, level2) -> Chamber
         den = common * level2
         base = len(rs.positive_roots)
     else:
-        weights = None
+        weights = den = None
         nodes = ((0,) if affine else ()) + tuple(i + 1 for i in walls)
         base = len(subsystem_positive_roots(rs, nodes))
     zero = (0,) * rs.rank
-
-    def walk(w, nu=zero):
-        beta = [2 * (x + y) + s for x, y, s in zip(w, nu, shift2)]
-        cap = base if weights is None else \
-            base + sum(map(mul, map(abs, beta), weights)) // den
-        sign = 1
-        for _ in range(cap + 1):
-            for i, root in linear:
-                ci = beta[i]
-                if ci < 0:
-                    beta = [x - ci * r for x, r in zip(beta, root)]
-                    sign = -sign
-                    break
-            else:
-                if affine:
-                    lev = sum(map(mul, comarks, beta))
-                    if lev > level2:
-                        beta = [x + (level2 - lev) * t for x, t in zip(beta, theta)]
-                        sign = -sign
-                        continue
-                    if lev == level2:
-                        return None
-                for i in walls:
-                    if not beta[i]:
-                        return None
-                diff = list(map(sub, beta, shift2))
-                for x in diff:
-                    if x & 1:
-                        raise AssertionError("label is not an integral weight")
-                return tuple([x >> 1 for x in diff]), sign
-        raise AssertionError(
-            f"chamber walk of {tuple(map(add, w, nu))} exceeded its derived cap of "
-            f"{cap} reflections (walls {walls}, doubled level {level2})")
+    name = f"<chamber_walk {rs.lie_type} walls={walls} shift2={shift2} level2={level2}>"
+    source = _walk_source(rs, walls, shift2, level2, base, weights, den)
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    namespace = {"zero": zero, "add": add}
+    exec(compile(source, name, "exec"), namespace)
+    walk = namespace["walk"]
 
     def signed_sum(terms, nu=zero, scale=1, out=None, table=None):
         if out is None:

@@ -244,7 +244,7 @@ class TwistedModuleElement(Sparse):
     _mismatch = "cannot add elements of different modules"
 
     def __init__(self, subset, level, terms=None):
-        self.subset = tuple(subset)
+        self.subset = tuple(sorted(set(subset)))   # one face, one module
         self.level = level
         super().__init__(terms)
 

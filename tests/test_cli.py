@@ -257,6 +257,18 @@ def test_reports_share_one_serializer():
     assert owners == {"Sparse", "Report", "ComplexSpec", "D2Report"}
 
 
+def test_code_is_generated_only_for_walk_kernels():
+    # rootdata.chamber_walk compiles each walk kernel from generated
+    # source; nothing else in the package runs exec, eval or compile
+    calls = set()
+    for path in sorted(Path(fusionring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) in {"exec", "eval", "compile"}:
+                calls.add((path.stem, node.func.id))
+    assert calls == {("rootdata", "exec"), ("rootdata", "compile")}
+
+
 def test_composite_primes_exit_two(capsys):
     for primes in ("4", "2,9", "2147483659"):
         code, _, err = run(capsys, ["verify-g2", "--level", "1", "--primes", primes])

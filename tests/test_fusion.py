@@ -41,24 +41,28 @@ def test_a1_fold_against_oracle(a1):
 def uncapped_fold(rs, w, k):
     """Reflect w + rho into the level-k alcove one wall at a time, with no
     cap on the number of reflections: the slow path for fold_weight."""
+    return counted_uncapped_fold(rs, w, k)[0]
+
+
+def counted_uncapped_fold(rs, w, k):
+    """uncapped_fold and the number of reflections it made."""
     m = k + rs.dual_coxeter
     v = tuple(x + 1 for x in w)
-    sign = 1
+    sign, steps = 1, 0
     while True:
         for i in range(1, rs.rank + 1):
             if v[i - 1] < 0:
                 v = rs.reflect(i, v)
-                sign = -sign
                 break
         else:
             lev = rs.level(v)
             if lev > m:
                 v = tuple(x + (m - lev) * t for x, t in zip(v, rs.highest_root))
-                sign = -sign
-                continue
-            if any(x == 0 for x in v) or lev == m:
-                return None
-            return tuple(x - 1 for x in v), sign
+            elif any(x == 0 for x in v) or lev == m:
+                return None, steps
+            else:
+                return (tuple(x - 1 for x in v), sign), steps
+        sign, steps = -sign, steps + 1
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"])
@@ -72,10 +76,18 @@ def test_fold_weight_against_uncapped_loop(name):
 
 
 def test_fold_large_weights(a1, a2, g2):
-    # far outside the alcove: many reflections, all within the derived cap
+    # far outside the alcove: more reflections than |Phi+|, so the walk reads
+    # its derived cap off the weight, and all within that cap
     assert not in_fusion_ideal(a1, VirtualCharacter.irrep((1000,)), 0)
-    assert fold_weight(g2, (200, 0), 1) == uncapped_fold(g2, (200, 0), 1)
-    assert fold_weight(a2, (300, 300), 1) == uncapped_fold(a2, (300, 300), 1)
+    a3 = build_root_system("A3")
+    rng = random.Random(53)
+    cases = [(a1, (1000,), 0), (g2, (200, 0), 1), (a2, (300, 300), 1)]
+    cases += [(a3, tuple(rng.choice((-1, 1)) * rng.randint(250, 350) for _ in range(3)), k)
+              for k in range(5) for _ in range(4)]
+    for rs, w, k in cases:
+        expected, steps = counted_uncapped_fold(rs, w, k)
+        assert steps > len(rs.positive_roots), (rs.lie_type, w, k)
+        assert fold_weight(rs, w, k) == expected, (rs.lie_type, w, k)
 
 
 def test_fold_validates_level_on_zero(g2):

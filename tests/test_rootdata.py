@@ -1,4 +1,5 @@
 import itertools
+import linecache
 import random
 from fractions import Fraction
 from operator import mul
@@ -8,9 +9,11 @@ import pytest
 from fusionring import (InputError, LieType, alcove_weights, build_root_system,
                         full_weights, shifted_dominant_reduce,
                         weight_multiplicity, weyl_dimension, weyl_orbit)
-from fusionring.rootdata import (connected_type, dominant_reduce, reflection_orbit,
-                                 weyl_orbit_signed)
-from fusionring.twisted import centralizer_info, classify_centralizer
+from fusionring.rootdata import (chamber_walk, connected_type, dominant_reduce,
+                                 reflection_orbit, rho_walk, weyl_orbit_signed)
+from fusionring.twisted import centralizer_info, classify_centralizer, rho2
+
+from conftest import reference_walk
 
 ALL_SMALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -400,3 +403,58 @@ def test_full_weights_rejects_a_bad_highest_weight(g2):
         full_weights(g2, (-1, 0))
     with pytest.raises(InputError, match="length 1"):
         full_weights(g2, (1,))
+
+
+def _outcome(walk, *args):
+    try:
+        return walk(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3",
+                                  "C4", "D4", "F4", "G2"])
+def test_generated_walks_match_the_reference_walk(name):
+    # every proper face at doubled levels 0..8 and the full affine group,
+    # each with its own shift and with a random one: odd entries make some
+    # labels half-integral, so the parity AssertionError is compared too
+    rs = build_root_system(name)
+    n = rs.rank
+    rng = random.Random(name)
+    groups = []
+    for mask in range(2 ** (n + 1) - 1):
+        face = tuple(i for i in range(n + 1) if mask >> i & 1)
+        walls = tuple(i - 1 for i in face if i)
+        for level2 in range(9) if 0 in face else (None,):
+            groups.append((walls, rho2(rs, face), level2))
+    walls = tuple(range(n))
+    groups += [(walls, (2,) * n, 2 * (k + rs.dual_coxeter)) for k in range(5)]
+    groups += [(walls, (2,) * n, level2) for level2 in range(1, 9)]
+    compared = raised = 0
+    for walls, shift2, level2 in groups:
+        for shift2 in (shift2, tuple(rng.randint(-3, 3) for _ in range(n))):
+            kernel = chamber_walk(rs, walls, shift2, level2)
+            reference = reference_walk(rs, walls, shift2, level2)
+            for _ in range(6):
+                w = tuple(rng.randint(-12, 12) for _ in range(n))
+                nu = tuple(rng.randint(-4, 4) for _ in range(n))
+                for args in ((w,), (w, nu)):
+                    expected = _outcome(reference, *args)
+                    assert _outcome(kernel.walk, *args) == expected, \
+                        (walls, shift2, level2, args)
+                    compared += 1
+                    raised += expected is not None and isinstance(expected[0], type)
+    # in rank one every reflection keeps the parity of beta, so no label
+    # is half-integral
+    assert (raised > 0) == (n > 1) and compared > 2 * raised
+
+
+def test_walk_kernels_are_named_after_their_group():
+    # tracebacks and profiles tell the generated kernels apart
+    g2 = build_root_system("G2")
+    name = rho_walk(g2, 26).walk.__code__.co_filename
+    assert name == "<chamber_walk G2 walls=(0, 1) shift2=(2, 2) level2=26>"
+    assert linecache.getline(name, 1) == "def walk(w, nu=zero):\n"
+    kernel = chamber_walk(build_root_system("B3"), (1, 2), (0, 2, 2), None)
+    assert "B3" in kernel.walk.__code__.co_filename
+    assert "level2=None" in kernel.walk.__code__.co_filename

@@ -253,6 +253,17 @@ def test_rg_multiply_rejects_a_wrong_weight_length(g2):
                     TwistedModuleElement.label(g2, (), 0, (1, 0)))
 
 
+def test_module_elements_name_their_face_in_any_order(g2):
+    # the face is a set of nodes: its order and repeats name one module
+    x = TwistedModuleElement((1, 0), 1, {(0, 0): 1})
+    y = TwistedModuleElement((0, 1, 1), 1, {(0, 0): 1})
+    assert x.subset == y.subset == (0, 1)
+    assert x == y and hash(x) == hash(y)
+    assert (x + y).terms == {(0, 0): 2}
+    with pytest.raises(InputError, match="node 7"):
+        rg_multiply(g2, VirtualCharacter.irrep((0, 0)), TwistedModuleElement((0, 7), 1))
+
+
 def test_rg_multiply_unit_and_torus(g2):
     x = TwistedModuleElement.label(g2, (0, 1), 1, (0, 0))
     one = VirtualCharacter.irrep((0, 0))
