@@ -39,14 +39,18 @@ G2_MODULE_BASES = (
 
 
 def _emit(args, payload: dict, **texts):
-    """Write the JSON payload, or the text of the chosen format."""
+    """Write the JSON payload, or the text of the chosen format; a file
+    that cannot be written is invalid input."""
     if args.format == "json":
         out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         out = texts[args.format]
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(out)
 

@@ -43,9 +43,27 @@ class ZEchelon:
                 if vec[col] < 0:
                     vec = {k: -v for k, v in vec.items()}
                     meta = {k: -v for k, v in meta.items()}
+                self._reduce_tail(vec, meta, col)
                 self.rows[col] = (vec, meta)
                 vec, meta = pvec, pmeta
         return False
+
+    def _reduce_tail(self, vec, meta, col):
+        """Bring each entry of vec below col at a stored pivot into
+        [0, pivot), highest column first.  A row a swap stores is a
+        Euclid combination of two rows; unreduced, its tail grows with
+        each swap and passes the growth on to every row reduced against
+        it, until the entries run to millions of bits."""
+        rows = self.rows
+        while True:
+            col = max((c for c in vec if c < col and c in rows), default=None)
+            if col is None:
+                return
+            pvec, pmeta = rows[col]
+            q = vec[col] // pvec[col]
+            if q:
+                addmul(vec, pvec, -q)
+                addmul(meta, pmeta, -q)
 
     def reduce(self, vec, want_combination=False):
         """Back-reduce a vector against the lattice.

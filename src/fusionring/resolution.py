@@ -18,12 +18,11 @@ from operator import sub
 from .errors import InputError, InternalLimitError
 from .fusion import in_fusion_ideal
 from .groebner import FieldPoly, check_prime, quotient_codimension
-from .repring import VirtualCharacter, fewer_weights_first, to_polynomial
-from .rootdata import (RootSystem, _WalkTable, _check_weight, alcove_weights, full_weights,
-                       rho_walk)
+from .repring import VirtualCharacter, to_polynomial
+from .rootdata import RootSystem, _WalkTable, _check_weight, alcove_weights, rho_walk
 from .sparse import Report
-from .twisted import (_bounds, _check_code_reach, _face_walk, _label_key, _search_basis,
-                      centralizer_info, enumerate_labels, face_subset,
+from .twisted import (_bounds, _check_code_reach, _face_walk, _label_key, _orbit_sums,
+                      _search_basis, centralizer_info, enumerate_labels, face_subset,
                       find_module_basis, is_valid_label, regularize_affine)
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -240,13 +239,15 @@ def extract_presentation(rs: RootSystem, k: int,
     d1(g) = sum c_s d1(lift_s) over the vertex basis.  The system is solved
     on the echelon the vertex basis search built and certified, translated
     to the search's base level and written on label codes.  Each term
-    c irrep(lam) x ind(lift) of the solution is one Klimyk sum added into
-    the generator.
+    c m(lam) x ind(lift) of the solution, m(lam) the Weyl orbit sum the
+    search's rows were built from, is one Brauer-Klimyk sum over the orbit
+    added into the generator, so no weight system is expanded.
     """
     level_bound, lambda_bound = _bounds(rs, k, level_bound, lambda_bound)
     n = rs.rank
-    key, factor = _label_key(rs), fewer_weights_first(rs)
+    key = _label_key(rs)
     induce = rho_walk(rs).signed_sum
+    orbits = dict(_orbit_sums(rs, lambda_bound))
     gens: list[VirtualCharacter] = []
     per_edge = {}
     bound = 0
@@ -255,7 +256,7 @@ def extract_presentation(rs: RootSystem, k: int,
         edge = face_subset(rs, tuple(i for i in vertex if i != 0))
         bound += centralizer_info(rs, edge).module_rank
         vertex_basis, ech, shift = _search_basis(rs, vertex, k, (), level_bound,
-                                                 lambda_bound)
+                                                 lambda_bound, tagged=True)
         # a vertex label is an edge label: the edge has no affine wall, and
         # rho_vertex and rho_edge both pair to 1 with each simple coroot of it
         for b in vertex_basis:
@@ -282,8 +283,7 @@ def extract_presentation(rs: RootSystem, k: int,
             gen = induce({g: 1})
             for (idx, lam), c in combo.items():
                 for w, sign in inductions[idx].items():
-                    p, s = sorted((lam, w), key=factor)
-                    induce(full_weights(rs, p), s, -c * sign, gen)
+                    induce(orbits[lam], w, -c * sign, gen)
             if gen:
                 gens.append(VirtualCharacter(gen))
                 emitted += 1

@@ -24,7 +24,7 @@ from .repring import VirtualCharacter
 from .rootdata import (RootSystem, _WalkTable, _check_weight, _integer_form,
                        _node_root, alcove_weights, chamber_walk, connected_type,
                        full_weights, reflection_orbit, subsystem_positive_roots,
-                       weyl_order_of_type)
+                       weyl_orbit, weyl_order_of_type)
 from .sparse import Report, Sparse, addmul
 
 
@@ -320,13 +320,26 @@ def _check_code_reach(rs, subset, k, labels, level_bound, lambda_bound):
                          f"the label codes' {_WIDTH}-bit fields: lower the level or bounds")
 
 
-def _candidate_rows(rs, subset, k, c, lams, key):
-    """The nonzero product rows irrep(lam) * c on the codes of key (a
-    _label_key), as (lam, row), ascending by leading code.  So inserted,
-    extraction takes 3 row operations per insert, 7.5 on the G2 edge and
-    16 on the G2 vertex faces.  The rows share one walk table, which walks
-    and codes each c + nu once and lives only for this call; a longer-lived
-    one would keep every weight ever walked."""
+def _orbit_sums(rs, bound):
+    """(lam, m(lam)) for each dominant lam of level at most bound, the
+    Weyl orbit sum m(lam) as {weight: 1}.
+
+    The orbit sums and the irreducible characters of these weights are two
+    Z-bases of one part of R(G): irrep(lam) is m(lam) plus a combination of
+    m(mu), mu < lam dominant, and such a mu has level at most level(lam)
+    (Humphreys, Introduction to Lie Algebras, section 22.5).  So the rows
+    m(lam) * c span the lattice of the rows irrep(lam) * c, and each expands
+    at most |W| weights and no weight system."""
+    return [(lam, dict.fromkeys(weyl_orbit(rs, lam), 1)) for lam in alcove_weights(rs, bound)]
+
+
+def _candidate_rows(rs, subset, k, c, orbits, key):
+    """The nonzero product rows m(lam) * c, over the (lam, m(lam)) of
+    orbits (_orbit_sums), on the codes of key (a _label_key), as
+    (lam, row), ascending by leading code: inserted in that order, most
+    rows reach a free pivot in a few row operations.  The rows share one
+    walk table, which walks and codes each c + nu once and lives only for
+    this call; a longer-lived one would keep every weight ever walked."""
     kernel = _face_walk(rs, subset, k)
 
     def coded(nu, shift):
@@ -335,8 +348,8 @@ def _candidate_rows(rs, subset, k, c, lams, key):
 
     table = _WalkTable(coded, c)
     rows = []
-    for lam in lams:
-        vec = kernel.signed_sum(full_weights(rs, lam), table=table)
+    for lam, orbit in orbits:
+        vec = kernel.signed_sum(orbit, table=table)
         if vec:
             rows.append((max(vec), lam, vec))
     rows.sort(key=lambda r: r[0])
@@ -345,9 +358,9 @@ def _candidate_rows(rs, subset, k, c, lams, key):
 
 def _product_echelon(rs, subset, k, candidates, lambda_bound, key):
     ech = ZEchelon()
-    lams = alcove_weights(rs, lambda_bound)
+    orbits = _orbit_sums(rs, lambda_bound)
     for c in candidates:
-        for _, vec in _candidate_rows(rs, subset, k, c, lams, key):
+        for _, vec in _candidate_rows(rs, subset, k, c, orbits, key):
             ech.insert(vec)
     return ech
 
@@ -471,7 +484,7 @@ def find_module_basis(rs: RootSystem, subset, k: int, seeds=(),
     for s in seeds:
         if not is_valid_label(rs, subset, k, s):
             raise InputError(f"seed {s} is not a chamber label for face {subset}")
-    return _search_basis(rs, subset, k, seeds, level_bound, lambda_bound)[0]
+    return _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, tagged=False)[0]
 
 
 def _window_order(rs, subset, window, seeds):
@@ -492,18 +505,20 @@ def _window_order(rs, subset, window, seeds):
     return sorted(window, key=key)
 
 
-def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound):
+def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, *, tagged):
     """The search of find_module_basis on a validated face.
 
     Returns (basis, echelon, shift).  A face through the affine node is
     searched at its base level k0 = k mod twist order, which translation by
     shift identifies with level k; shift is zero on the other faces.  The
-    echelon holds the product rows of basis - shift at level k0 on label
-    codes, each tagged {(index in basis, lam): 1}, so reducing the code
-    (_label_key) of a level-k label minus shift solves over the basis.
-    The translation fixes the face's linear walls, moves its affine wall
-    by k - k0 and keeps the column order, so these rows are the level-k
-    rows translated."""
+    echelon holds the product rows m(lam) * (basis - shift) at level k0 on
+    label codes.  The translation fixes the face's linear walls, moves its
+    affine wall by k - k0 and keeps the column order, so these rows are the
+    level-k rows translated.  When tagged, the row of m(lam) times the
+    basis label at index i carries the tag {(i, lam): 1}, so reducing the
+    code (_label_key) of a level-k label minus shift solves over the basis.
+    Only a caller that reads the solution asks for tags: they follow every
+    row operation and would outweigh the sparse rows."""
     d = twist_order(rs, subset) if 0 in subset else 0
     k0 = k % d if d else k
     level_bound, lambda_bound = _bounds(rs, k, level_bound, lambda_bound, k0)
@@ -522,13 +537,13 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound):
     chosen = []
     key = _label_key(rs)
     ech = ZEchelon()
-    lams = alcove_weights(rs, lambda_bound)
+    orbits = _orbit_sums(rs, lambda_bound)
 
     def take(c):
         idx = len(chosen)
         chosen.append(c)
-        for lam, vec in _candidate_rows(rs, subset, k0, c, lams, key):
-            ech.insert(vec, {(idx, lam): 1})
+        for lam, vec in _candidate_rows(rs, subset, k0, c, orbits, key):
+            ech.insert(vec, {(idx, lam): 1} if tagged else None)
 
     for s in seeds:
         if ech.contains({key(s): 1}):

@@ -179,3 +179,17 @@ def test_criterion_6_finiteness_at_desk_scale():
         ok = ok and good
         details.append(f"G2 k={k}:{len(result.generators)} gens")
     _verdict(6, ok, "; ".join(details))
+
+
+def test_criterion_6_rank_three_presentation():
+    # A3 at level 1 through the API: the CLI refuses rank 3 until the
+    # default lambda_bound is derived, and the default is too small here
+    a3 = build_root_system("A3")
+    result = extract_presentation(a3, 1, lambda_bound=18)
+    report = verify_presentation(a3, 1, result.generators)
+    ok = (len(result.generators) == 11 and result.generator_bound == 14
+          and result.per_edge_counts == {(1, 2): 3, (1, 3): 5, (2, 3): 3}
+          and report.passed and report.codim_q == 4 == report.alcove_count
+          and report.codim_fp == dict.fromkeys(DEFAULT_PRIMES, 4))
+    _verdict(6, ok, f"A3 k=1 lambda_bound=18: {len(result.generators)} gens "
+                    f"(bound {result.generator_bound}), codim_Q={report.codim_q}")

@@ -90,6 +90,15 @@ def test_invalid_inputs_exit_two(capsys):
     assert run(capsys, ["verlinde", "--group", "A1", "--level", "2", "--tol", "inf"])[0] == 2
 
 
+def test_unwritable_out_exits_two(capsys, tmp_path):
+    # an --out that cannot be opened for writing is invalid input (exit 2),
+    # not a failed check (exit 1), and names the path
+    for target in [tmp_path, tmp_path / "missing" / "report.json"]:
+        code, out, err = run(capsys, ["census", "--group", "G2", "--out", str(target)])
+        assert code == 2 and not out
+        assert f"cannot write {target}" in err
+
+
 def test_census_command(capsys):
     code, out, _ = run(capsys, ["census", "--group", "E7"])
     assert code == 0

@@ -7,8 +7,8 @@ from fusionring import (InputError, InternalLimitError, VirtualCharacter,
                         build_complex, build_root_system, centralizer_info,
                         alcove_weights, cokernel_vs_oracle, d1_component,
                         d_squared_check, enumerate_labels, extract_presentation,
-                        fold_weight, g2_fusion_ideal_generators, in_fusion_ideal,
-                        verify_presentation)
+                        fold_weight, full_weights, g2_fusion_ideal_generators,
+                        in_fusion_ideal, verify_presentation)
 from fusionring import intlinalg, resolution, twisted
 from fusionring.groebner import INFINITE
 from fusionring.resolution import CokernelReport, D2Report
@@ -436,9 +436,11 @@ def test_extract_builds_each_candidate_once(name, k, builds, monkeypatch):
 # extract_presentation: the row operations of the searches and the
 # solves of the lifts.  The label codes keep the column order of the
 # (level, label) tuple keys, so the elimination and these counts are
-# those of the tuple keys.
-ECHELON_WORK = [("G2", 1, (1088, 0, 24600)), ("B2", 2, (1155, 0, 7705)),
-                ("A2", 3, (1088, 0, 2680))]
+# those of the tuple keys.  The orbit-sum rows span the lattice of the
+# irrep rows, so the insert counts are those of the irrep rows; the
+# counts include the tail reductions of swapped rows.
+ECHELON_WORK = [("G2", 1, (1088, 0, 55441)), ("B2", 2, (1155, 0, 18250)),
+                ("A2", 3, (1088, 0, 9241))]
 
 
 @pytest.mark.parametrize("name, k, work", ECHELON_WORK)
@@ -460,6 +462,15 @@ def test_extract_echelon_work(name, k, work, monkeypatch):
     monkeypatch.setattr(intlinalg, "addmul", counted_addmul)
     extract_presentation(build_root_system(name), k)
     assert (counts["inserts"], counts["dependent"], counts["addmul"]) == work
+
+
+@pytest.mark.parametrize("name, k", [("A1", 5), ("A2", 3), ("B2", 2), ("G2", 1)])
+def test_extraction_expands_no_weight_system(name, k):
+    # the rows and the generators are Brauer-Klimyk sums over Weyl orbit
+    # sums: extraction runs no Freudenthal, so no weight system is cached
+    full_weights.cache_clear()
+    extract_presentation(build_root_system(name), k)
+    assert full_weights.cache_info().currsize == 0
 
 
 def test_limit_messages_name_the_bound(g2):

@@ -18,7 +18,7 @@ from fusionring import (InputError, InternalLimitError, TwistedModuleElement, Vi
                         twist_order, verify_module_basis)
 from fusionring import twisted
 from fusionring.intlinalg import ZEchelon
-from fusionring.rootdata import reflection_orbit
+from fusionring.rootdata import reflection_orbit, weyl_orbit
 from fusionring.twisted import char_expansion, is_valid_label, rho2, translation_weight
 
 from conftest import laurent_add, laurent_mul, laurent_scale, random_character
@@ -367,6 +367,16 @@ def test_stale_basis_fails(g2):
     assert not report.passed
 
 
+def test_swapped_rows_keep_small_entries(g2):
+    # the stale basis leaves pivots other than 1, so inserts swap rows; a
+    # swapped row is tail-reduced, and the entries of the echelon stay
+    # small (without that reduction they pass two million bits)
+    key = twisted._label_key(g2)
+    ech = twisted._product_echelon(g2, (0, 2), 1, ((0, 0), (-1, 0)), 14, key)
+    assert any(vec[col] != 1 for col, (vec, _) in ech.rows.items())
+    assert max(abs(v) for vec, _ in ech.rows.values() for v in vec.values()) < 1 << 64
+
+
 def test_find_module_basis_matches_proof_structure(g2, a1):
     assert find_module_basis(a1, (0,), 4) == [(4,)]
     assert find_module_basis(g2, (0, 2), 2) == [(2, 0), (1, 0)]
@@ -486,30 +496,67 @@ def test_find_module_basis_checks_the_seeds(g2):
 
 
 def _label_product(rs, subset, k, lam, c):
-    """Vector of irrep(lam) acting on the single label c of a validated face."""
-    return twisted._face_walk(rs, subset, k).signed_sum(full_weights(rs, lam), c)
+    """Vector of the orbit sum m(lam) acting on the single label c of a
+    validated face."""
+    orbit = dict.fromkeys(weyl_orbit(rs, lam), 1)
+    return twisted._face_walk(rs, subset, k).signed_sum(orbit, c)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_candidate_rows_match_label_products(name):
     # _candidate_rows reads one walk table per candidate and writes rows
-    # on label codes; _label_product walks every weight of every row
+    # on label codes; _label_product walks every weight of every orbit
     # afresh on labels and stays the slow path
     rs = build_root_system(name)
     key = twisted._label_key(rs)
     for subset in _proper_faces(rs):
         for k in range(3):
             bound = k + rs.dual_coxeter
-            lams = alcove_weights(rs, bound + rs.dual_coxeter + k)
+            orbits = twisted._orbit_sums(rs, bound + rs.dual_coxeter + k)
             for c in find_module_basis(rs, subset, k, level_bound=bound):
                 expect = []
-                for lam in lams:
+                for lam, _ in orbits:
                     vec = _label_product(rs, subset, k, lam, c)
                     if vec:
                         expect.append((lam, {key(mu): v for mu, v in vec.items()}))
                 expect.sort(key=lambda row: max(row[1]))
-                assert twisted._candidate_rows(rs, subset, k, c, lams, key) == expect, \
+                assert twisted._candidate_rows(rs, subset, k, c, orbits, key) == expect, \
                     (subset, k, c)
+
+
+@pytest.mark.parametrize("name, levels, row_level", [
+    ("A2", (0, 1, 2), 10), ("B2", (0, 1, 2), 10), ("G2", (0, 1, 2), 12), ("A3", (0,), 5)])
+def test_orbit_rows_span_the_irrep_rows(name, levels, row_level):
+    # irrep(lam) is m(lam) plus integer multiples of m(mu), mu < lam
+    # dominant and of no larger level, so the change of basis is
+    # unitriangular over the dominant weights up to any level: the rows
+    # m(lam) c of a label c span the lattice of its irrep rows
+    # irrep(lam) c, which stay here as the reference.  The labels are those
+    # of the window of bound 1, the rows every dominant lam up to row_level
+    rs = build_root_system(name)
+    key = twisted._label_key(rs)
+    orbits = twisted._orbit_sums(rs, row_level)
+    for subset in _proper_faces(rs):
+        for k in levels:
+            kernel = twisted._face_walk(rs, subset, k)
+            for c in enumerate_labels(rs, subset, k, 1):
+                orbit_rows = [vec for _, vec in
+                              twisted._candidate_rows(rs, subset, k, c, orbits, key)]
+                irrep_rows = []
+                for lam, _ in orbits:
+                    vec = kernel.signed_sum(full_weights(rs, lam), c)
+                    irrep_rows.append({key(mu): v for mu, v in vec.items()})
+                _same_lattice(irrep_rows, orbit_rows, (subset, k, c))
+
+
+def _same_lattice(rows_a, rows_b, where):
+    """Each row of either list lies in the echelon of the other."""
+    for rows, other in [(rows_a, rows_b), (rows_b, rows_a)]:
+        ech = ZEchelon()
+        for vec in other:
+            ech.insert(vec)
+        for vec in rows:
+            assert ech.contains(vec), where
 
 
 def test_label_code_field_limit(g2):
@@ -654,12 +701,12 @@ def test_search_echelon_is_the_translated_level_echelon(name, top, translated):
             level_bound = k + 2 * rs.dual_coxeter
             lambda_bound = level_bound + rs.dual_coxeter + k
             basis, ech, shift = twisted._search_basis(rs, vertex, k, (), level_bound,
-                                                      lambda_bound)
+                                                      lambda_bound, tagged=True)
             moved += any(shift)
-            lams = alcove_weights(rs, lambda_bound)
+            orbits = twisted._orbit_sums(rs, lambda_bound)
             rebuilt = ZEchelon()
             for idx, c in enumerate(basis):
-                for lam, vec in twisted._candidate_rows(rs, vertex, k, c, lams, key):
+                for lam, vec in twisted._candidate_rows(rs, vertex, k, c, orbits, key):
                     rebuilt.insert(vec, {(idx, lam): 1})
             delta = key(shift) - zero
 
