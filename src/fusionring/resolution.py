@@ -21,9 +21,9 @@ from .groebner import FieldPoly, check_prime, quotient_codimension
 from .repring import VirtualCharacter, to_polynomial
 from .rootdata import RootSystem, _WalkTable, _check_weight, alcove_weights, rho_walk
 from .sparse import Report
-from .twisted import (_bounds, _check_code_reach, _face_walk, _label_key, _orbit_sums,
-                      _search_basis, centralizer_info, enumerate_labels, face_subset,
-                      find_module_basis, is_valid_label, regularize_affine)
+from .twisted import (_bounds, _face_walk, _label_key, _orbit_sums, _search_basis,
+                      centralizer_info, enumerate_labels, face_subset, find_module_basis,
+                      is_valid_label, regularize_affine)
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -271,7 +271,6 @@ def extract_presentation(rs: RootSystem, k: int,
             if g in vertex_basis:
                 continue
             # the target, the walk of g at level k minus shift, walks g - shift at k0
-            _check_code_reach(rs, vertex, k, [tuple(map(sub, g, shift))], level_bound, 0)
             red = regularize_affine(rs, vertex, k, g)
             target = {} if red is None else {key(tuple(map(sub, red[0], shift))): red[1]}
             residual, combo = ech.reduce(target, want_combination=True)
@@ -337,14 +336,17 @@ def verify_presentation(rs: RootSystem, k: int, gens,
     by the generated ideal is computed over Q and over each prime field;
     the presentation passes when every generator folds to zero and every
     codimension equals the alcove count.  Primes outside the list are not
-    certified, which callers should report alongside the verdict.
+    certified, which callers should report alongside the verdict; a prime
+    listed twice is an InputError.
     """
     gens, primes = list(gens), tuple(primes)
     if not gens:
         raise InputError("generator list must be nonempty")
     if not primes:
         raise InputError("prime list must be nonempty")
-    for p in primes:
+    for i, p in enumerate(primes):
+        if p in primes[:i]:
+            raise InputError(f"prime {p} is repeated")
         check_prime(p)
     membership = [in_fusion_ideal(rs, g, k) for g in gens]
     alcove_count = len(alcove_weights(rs, k))

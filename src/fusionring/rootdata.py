@@ -329,23 +329,16 @@ def weyl_orbit_signed(rs: RootSystem, w) -> list:
     return sorted(reflection_orbit(rs, tuple(range(rs.rank)), None, w).items())
 
 
-def _dominant(rs: RootSystem, v):
-    """dominant_reduce without input checks."""
-    simple = rs.simple_roots
-    n = rs.rank
+def dominant_reduce(rs: RootSystem, w):
+    """The dominant representative of the Weyl orbit of w."""
+    v = _check_weight(rs, w)
     while True:
-        for i in range(n):
-            ci = v[i]
+        for i, ci in enumerate(v):
             if ci < 0:
-                v = tuple(x - ci * r for x, r in zip(v, simple[i]))
+                v = tuple(x - ci * r for x, r in zip(v, rs.simple_roots[i]))
                 break
         else:
             return v
-
-
-def dominant_reduce(rs: RootSystem, w):
-    """The dominant representative of the Weyl orbit of w."""
-    return _dominant(rs, _check_weight(rs, w))
 
 
 def shifted_dominant_reduce(rs: RootSystem, w):

@@ -21,10 +21,10 @@ from operator import add, mul, sub
 from .errors import InputError, InternalLimitError
 from .intlinalg import ZEchelon
 from .repring import VirtualCharacter
-from .rootdata import (RootSystem, _WalkTable, _check_weight, _integer_form,
-                       _node_root, alcove_weights, chamber_walk, connected_type,
-                       full_weights, reflection_orbit, subsystem_positive_roots,
-                       weyl_orbit, weyl_order_of_type)
+from .rootdata import (RootSystem, _check_weight, _integer_form, _node_root,
+                       alcove_weights, chamber_walk, connected_type, full_weights,
+                       reflection_orbit, subsystem_positive_roots, weyl_orbit,
+                       weyl_order_of_type)
 from .sparse import Report, Sparse, addmul
 
 
@@ -165,15 +165,11 @@ def regularize_affine(rs: RootSystem, subset, k: int, w):
 
 
 def is_valid_label(rs: RootSystem, subset, k: int, mu) -> bool:
-    subset = face_subset(rs, subset)
-    _bounds(rs, k)
-    beta = _beta2(rs, subset, _check_weight(rs, mu))
-    for i in subset:
-        if i != 0 and beta[i - 1] <= 0:
-            return False
-    if 0 in subset and rs.level(beta) >= 2 * k:
-        return False
-    return True
+    """Whether mu + rho_S lies strictly inside the chamber of the face
+    group at level k: whether the face's walk fixes mu."""
+    walk = _face_walk(rs, face_subset(rs, subset), k).walk
+    mu = _check_weight(rs, mu)
+    return walk(mu) == (mu, 1)
 
 
 def _bounds(rs, k, level_bound=None, lambda_bound=None, base=None):
@@ -279,13 +275,16 @@ def rg_multiply(rs: RootSystem, c: VirtualCharacter, x: TwistedModuleElement) ->
 
 # A label's code is its level above one _WIDTH-bit field per coordinate,
 # each holding the coordinate plus _HALF: int order is (level, label) order.
-_WIDTH = 16
+# A row label of a search stays below h^vee (k + |c| + lambda_bound +
+# |2 rho_S|) (tests: test_label_code_reach_bounds_every_row_label), far
+# inside 2^31 for any window or orbit list that can be built.
+_WIDTH = 32
 _HALF = 1 << (_WIDTH - 1)
 
 
 class _LabelKeys(dict):
     """The code of each label, made on first lookup; a coordinate that
-    would wrap into the next field raises AssertionError."""
+    would wrap into the next field raises InputError naming the label."""
 
     def __init__(self, rs):
         super().__init__()
@@ -295,7 +294,7 @@ class _LabelKeys(dict):
         code = sum(map(mul, self.comarks, mu))
         for x in mu:
             if not -_HALF < x < _HALF:
-                raise AssertionError(f"label {mu} overflows its {_WIDTH}-bit code fields")
+                raise InputError(f"label {mu} overflows its {_WIDTH}-bit code fields")
             code = (code << _WIDTH) + x + _HALF
         self[mu] = code
         return code
@@ -304,20 +303,6 @@ class _LabelKeys(dict):
 def _label_key(rs):
     # a bound dict lookup: no Python frame once a label has been seen
     return _LabelKeys(rs).__getitem__
-
-
-def _check_code_reach(rs, subset, k, labels, level_bound, lambda_bound):
-    """InputError unless each label a search on the face at level k codes
-    fits its field.  A row label walks c + nu, |nu_i| <= lambda_bound, by
-    an element fixing a doubled point p, 0 <= p_i <= 2k, whose linear part
-    moves a coordinate to a coroot pairing (comark-bounded coefficients),
-    so it stays below h^vee (k + |c| + lambda_bound + |rho2|); window
-    labels stay within level_bound."""
-    top = max([level_bound, *(abs(x) for mu in labels for x in mu)])
-    reach = rs.dual_coxeter * (k + top + lambda_bound + max(map(abs, rho2(rs, subset))))
-    if reach >= _HALF:
-        raise InputError(f"labels of face {subset} at level {k} can reach {reach}, past "
-                         f"the label codes' {_WIDTH}-bit fields: lower the level or bounds")
 
 
 def _orbit_sums(rs, bound):
@@ -337,19 +322,12 @@ def _candidate_rows(rs, subset, k, c, orbits, key):
     """The nonzero product rows m(lam) * c, over the (lam, m(lam)) of
     orbits (_orbit_sums), on the codes of key (a _label_key), as
     (lam, row), ascending by leading code: inserted in that order, most
-    rows reach a free pivot in a few row operations.  The rows share one
-    walk table, which walks and codes each c + nu once and lives only for
-    this call; a longer-lived one would keep every weight ever walked."""
-    kernel = _face_walk(rs, subset, k)
-
-    def coded(nu, shift):
-        red = kernel.walk(nu, shift)
-        return None if red is None else (key(red[0]), red[1])
-
-    table = _WalkTable(coded, c)
+    rows reach a free pivot in a few row operations.  The orbits of
+    distinct dominant weights are disjoint, so each c + nu is walked once."""
+    signed_sum = _face_walk(rs, subset, k).signed_sum
     rows = []
     for lam, orbit in orbits:
-        vec = kernel.signed_sum(orbit, table=table)
+        vec = {key(mu): x for mu, x in signed_sum(orbit, c).items()}
         if vec:
             rows.append((max(vec), lam, vec))
     rows.sort(key=lambda r: r[0])
@@ -420,7 +398,6 @@ def verify_module_basis(rs: RootSystem, subset, k: int, candidates,
         if not is_valid_label(rs, subset, k, c):
             report.failure = f"{c} is not a chamber label"
             return report
-    _check_code_reach(rs, subset, k, candidates, level_bound, lambda_bound)
     window = enumerate_labels(rs, subset, k, level_bound)
     report.labels_checked = len(window)
     key = _label_key(rs)
@@ -526,7 +503,6 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, *, tagged):
     if k != k0:
         shift = tuple((k - k0) // d * t for t in translation_weight(rs, subset))
         seeds = [tuple(map(sub, s, shift)) for s in seeds]
-    _check_code_reach(rs, subset, k0, seeds, level_bound, lambda_bound)
     where = f"face {subset} at level {k0}"
     if k != k0:
         where += f" (translated from requested level {k})"

@@ -285,6 +285,13 @@ def test_composite_primes_exit_two(capsys):
         assert "prime" in err
 
 
+def test_repeated_prime_exits_two(capsys):
+    code, out, err = run(capsys, ["verify-g2", "--level", "1", "--primes", "3,2,3"])
+    assert code == 2
+    assert not out
+    assert "prime 3 is repeated" in err
+
+
 # SHA-256 of the stdout of each command.  The JSON reports are byte-stable,
 # so a digest changes only when an output does.  verlinde is left out: its
 # float max_abs_deviation depends on the platform's libm.

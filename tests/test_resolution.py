@@ -267,11 +267,6 @@ def test_extract_rejects_a_level_bound_below_the_level(a1):
         extract_presentation(a1, 2, level_bound=1)
 
 
-def test_extract_rejects_bounds_past_the_label_codes(a1):
-    with pytest.raises(InputError, match="label codes"):
-        extract_presentation(a1, 1, lambda_bound=20000)
-
-
 @pytest.mark.parametrize("name,kmax", [("A1", 5), ("A2", 3), ("C2", 3), ("G2", 4)])
 def test_d_squared_vanishes(name, kmax, request):
     rs = build_root_system(name)
@@ -342,6 +337,12 @@ def test_verify_presentation_reads_a_one_shot_prime_iterator(g2):
     assert report.codim_fp == {2: 2, 3: 2}
 
 
+def test_verify_presentation_rejects_a_repeated_prime(g2):
+    # a repeated prime would be certified twice and listed twice
+    with pytest.raises(InputError, match="prime 3 is repeated"):
+        verify_presentation(g2, 1, g2_fusion_ideal_generators(1), primes=(3, 2, 3))
+
+
 def test_exploratory_minimal_presentation(g2):
     # recorded outcome only: omit the top-level generator at an even level
     gens = g2_fusion_ideal_generators(2)[:-1]
@@ -374,40 +375,53 @@ def test_extract_presentation_g2_level_one(g2):
     assert report.passed
 
 
-# Walks of extract_presentation(G2, 1) through the face kernels: 10 727 in
-# the product rows and 7 in regularize_affine.  Without the per-candidate
-# walk table the product rows made 411 664.
+# Walks of extract_presentation(G2, 1): 10 727 in the product rows and 7
+# in regularize_affine.  Without the per-candidate walk table the product
+# rows made 411 664; since the rows are Weyl orbit sums, whose orbits are
+# disjoint, they walk each c + nu once with no table.
 G2_LEVEL_ONE_WALKS = 10_734
 
 
 def test_extract_walks_each_shifted_weight_once(g2, monkeypatch):
-    # every walk goes through the kernel twisted._face_walk returns; inside
-    # one call of _candidate_rows no candidate c walks the same c + nu twice
+    # the product rows walk through the signed_sum of the kernel
+    # twisted._face_walk returns; inside one call of _candidate_rows no
+    # candidate c walks the same c + nu twice
     walks = Counter()
+    regularized = count()
     build = [None]
     builds = count()
     face_walk, candidate_rows = twisted._face_walk, twisted._candidate_rows
+    regularize = resolution.regularize_affine
 
     def counted_face_walk(rs, subset, k):
         kernel = face_walk(rs, subset, k)
 
-        def walk(w, nu=(0,) * rs.rank):
-            walks[build[0], subset, k, tuple(nu), tuple(w)] += 1
-            return kernel.walk(w, nu)
-        return kernel._replace(walk=walk)
+        def signed_sum(terms, nu=(0,) * rs.rank, *args):
+            for w in terms:
+                walks[build[0], subset, k, tuple(nu), tuple(w)] += 1
+            return kernel.signed_sum(terms, nu, *args)
+        return kernel._replace(signed_sum=signed_sum)
 
-    def counted_rows(*args):
+    def counted_rows(rs, subset, k, c, orbits, key):
+        weights = [w for _, orbit in orbits for w in orbit]
+        assert len(set(weights)) == len(weights)   # the orbits are disjoint
         build[0] = next(builds)
         try:
-            return candidate_rows(*args)
+            return candidate_rows(rs, subset, k, c, orbits, key)
         finally:
             build[0] = None
 
+    def counted_regularize(*args):
+        next(regularized)
+        return regularize(*args)
+
     monkeypatch.setattr(twisted, "_face_walk", counted_face_walk)
     monkeypatch.setattr(twisted, "_candidate_rows", counted_rows)
+    monkeypatch.setattr(resolution, "regularize_affine", counted_regularize)
     extract_presentation(g2, 1)
+    assert None not in {key[0] for key in walks}
     assert max(walks.values()) == 1
-    assert sum(walks.values()) == G2_LEVEL_ONE_WALKS
+    assert sum(walks.values()) + next(regularized) == G2_LEVEL_ONE_WALKS
 
 
 @pytest.mark.parametrize("name, k, builds", [("G2", 1, 17), ("A2", 3, 8)])

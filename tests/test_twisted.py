@@ -243,6 +243,27 @@ def test_is_valid_label_rejects_a_wrong_weight_length(g2):
         is_valid_label(g2, (0, 1), 1, (1,))
 
 
+def _chamber_inequalities(rs, subset, k, mu):
+    """is_valid_label by the chamber inequalities, kept as its oracle: the
+    doubled point 2 mu + 2 rho_S is positive on the linear walls of the
+    face and, with node 0, below the affine wall at doubled level 2k."""
+    beta = twisted._beta2(rs, subset, mu)
+    return (all(beta[i - 1] > 0 for i in subset if i)
+            and (0 not in subset or rs.level(beta) < 2 * k))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"])
+def test_is_valid_label_matches_the_chamber_inequalities(name):
+    # every proper face at k <= 3, labels in [-5, 5]^n
+    rs = build_root_system(name)
+    box = list(itertools.product(range(-5, 6), repeat=rs.rank))
+    for subset in _proper_faces(rs):
+        for k in range(4):
+            for mu in box:
+                assert is_valid_label(rs, subset, k, mu) == \
+                    _chamber_inequalities(rs, subset, k, mu), (subset, k, mu)
+
+
 def test_rg_multiply_rejects_a_wrong_weight_length(g2):
     chi = VirtualCharacter.irrep((1, 0))
     short = TwistedModuleElement((), 0, {(1,): 1})
@@ -560,33 +581,30 @@ def _same_lattice(rows_a, rows_b, where):
 
 
 def test_label_code_field_limit(g2):
-    # a coordinate that would overflow its field of the code raises, naming
-    # the label, instead of wrapping into the next field; the largest
-    # coordinates inside the field still encode in order
+    # the encoder is the one guard of the code fields: a coordinate that
+    # would overflow its field raises InputError naming the label, instead
+    # of wrapping into the next field; the largest coordinates inside the
+    # field still encode in order
     key = twisted._label_key(g2)
     top = twisted._HALF - 1
     assert key((top, -top)) < key((-top, top)) < key((1 - top, top))   # levels -top, top, top + 1
     for label in [(twisted._HALF, 0), (0, -twisted._HALF), (3, twisted._HALF + 5)]:
-        with pytest.raises(AssertionError, match=re.escape(str(label))):
+        with pytest.raises(InputError, match=re.escape(str(label))):
             key(label)
 
 
-def test_label_code_reach_is_checked_at_the_entry_points(a1, g2):
-    # input whose labels could pass the code fields is an InputError before
-    # any label is coded: a far seed or candidate, or bounds that large
-    with pytest.raises(InputError, match="label codes"):
-        find_module_basis(a1, (1,), 0, seeds=[(40000,)])
-    with pytest.raises(InputError, match="label codes"):
-        verify_module_basis(a1, (1,), 0, [(40000,)])
-    basis = find_module_basis(g2, (0, 2), 2)
-    for bounds in [dict(level_bound=5000), dict(lambda_bound=9000)]:
-        with pytest.raises(InputError, match="label codes"):
-            find_module_basis(g2, (0, 2), 2, **bounds)
-        with pytest.raises(InputError, match="label codes"):
-            verify_module_basis(g2, (0, 2), 2, basis, **bounds)
-    # inside the reach the search codes every label and reaches its verdict
+def test_far_labels_reach_the_search_or_the_encoder(a1):
+    # no derived bound stands before the search: a far seed is coded and
+    # the search reaches its verdict, and only a seed or candidate past
+    # the 32-bit code fields is refused, by the encoder, naming the label
     with pytest.raises(InternalLimitError, match="raise lambda_bound"):
-        find_module_basis(a1, (1,), 0, seeds=[(16000,)])
+        find_module_basis(a1, (1,), 0, seeds=[(40000,)])
+    for face, candidates in [((1,), [(1 << 31,)]), ((), [(-(1 << 31),), (0,)])]:
+        far = re.escape(str(candidates[0]))
+        with pytest.raises(InputError, match=far):
+            find_module_basis(a1, face, 0, seeds=candidates[:1])
+        with pytest.raises(InputError, match=far):
+            verify_module_basis(a1, face, 0, candidates)
     # seeds are checked after translation to the base level
     far = find_module_basis(a1, (0,), 40000)
     t = translation_weight(a1, (0,))
@@ -599,8 +617,11 @@ def test_label_code_reach_is_checked_at_the_entry_points(a1, g2):
                                                 ("C2", 2, 3), ("G2", 2, 3), ("A3", 1, 2),
                                                 ("B3", 1, 2)])
 def test_label_code_reach_bounds_every_row_label(name, lam_bound, box):
-    # the bound _check_code_reach puts on product-row labels holds for every
-    # c + nu of every proper face at k <= 2, c anywhere in a box
+    # every c + nu of every proper face at k <= 2, c anywhere in a box,
+    # walks to a label below h^vee (k + |c| + lambda_bound + |2 rho_S|).
+    # This is why 32-bit code fields need no reach check of their own: a
+    # search label reaches 2^31 only at bounds near 10^8, whose window and
+    # orbit list cannot be built
     rs = build_root_system(name)
     weights = [nu for lam in alcove_weights(rs, lam_bound) for nu in full_weights(rs, lam)]
     for size in range(rs.rank + 1):
@@ -655,7 +676,7 @@ def test_weight_systems_and_search_skip_reduction_and_rational_pairing(g2, monke
     # dominant chamber nor pairs through the rational form
     from fusionring import rootdata
     calls = {"dominant": 0, "form_pair": 0}
-    dominant, form_pair = rootdata._dominant, rootdata.RootSystem.form_pair
+    dominant, form_pair = rootdata.dominant_reduce, rootdata.RootSystem.form_pair
 
     def counted_dominant(*args):
         calls["dominant"] += 1
@@ -665,7 +686,7 @@ def test_weight_systems_and_search_skip_reduction_and_rational_pairing(g2, monke
         calls["form_pair"] += 1
         return form_pair(*args)
 
-    monkeypatch.setattr(rootdata, "_dominant", counted_dominant)
+    monkeypatch.setattr(rootdata, "dominant_reduce", counted_dominant)
     monkeypatch.setattr(rootdata.RootSystem, "form_pair", counted_form_pair)
     full_weights.cache_clear()
     assert sum(full_weights(g2, (6, 6)).values()) == 117649   # its dimension, 7^6
