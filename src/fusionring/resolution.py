@@ -19,7 +19,8 @@ from .errors import InputError, InternalLimitError
 from .fusion import in_fusion_ideal
 from .groebner import FieldPoly, check_prime, quotient_codimension
 from .repring import VirtualCharacter, to_polynomial
-from .rootdata import RootSystem, _WalkTable, _check_weight, alcove_weights, rho_walk
+from .rootdata import (RootSystem, _WalkTable, _check_level, _check_weight, alcove_weights,
+                       rho_walk)
 from .sparse import Report
 from .twisted import (_bounds, _face_walk, _label_key, _orbit_sums, _search_basis,
                       centralizer_info, enumerate_labels, face_subset, find_module_basis,
@@ -44,8 +45,7 @@ class ComplexSpec(Report):
 
 def build_complex(rs: RootSystem, k: int) -> ComplexSpec:
     """Enumerate the faces by degree with their free module ranks."""
-    if k < 0:
-        raise InputError("level must be nonnegative")
+    k = _check_level(k)
     n = rs.rank
     degrees = []
     ranks = []
@@ -115,6 +115,12 @@ def d_squared_check(rs: RootSystem, k: int, level_bound: int | None = None) -> D
     The first step walks each label directly.  The images of the first step
     overlap, so the second step reads one walk table per vertex face,
     shared by every degree-2 face and dropped when the check returns.
+
+    Each vertex face S + {a, b} of a degree-2 face S is reached through
+    exactly two cofaces, S + {a} and S + {b}, and each path gives one
+    label with a sign, or nothing.  A label passes when every pair of paths
+    cancels; a label that fails is walked again through _d_squared_total,
+    which gives its violation entry.
     """
     level_bound = _bounds(rs, k, level_bound)[0]
     n = rs.rank
@@ -133,23 +139,55 @@ def d_squared_check(rs: RootSystem, k: int, level_bound: int | None = None) -> D
             second.setdefault(target, [
                 (dest, tables.setdefault(dest, _WalkTable(kernel.walk, zero)), sign)
                 for dest, kernel, sign in _cofaces(rs, target, k)])
-        for mu in enumerate_labels(rs, face, k, level_bound):
-            report.labels_checked += 1
-            total = {}
-            for target, kernel, sign in first:
-                red = kernel.walk(mu)
+        # the two paths into the m-th vertex face write slots 2m and 2m + 1,
+        # the second negated, so the paths cancel when the slots are equal
+        slot = {}
+        paths = []
+        for target, kernel, sign in first:
+            steps = []
+            for dest, table, sign2 in second[target]:
+                if dest in slot:
+                    steps.append((slot[dest] + 1, table, -sign * sign2))
+                else:
+                    slot[dest] = 2 * len(slot)
+                    steps.append((slot[dest], table, sign * sign2))
+            paths.append((kernel.walk, steps))
+        blank = [None] * (2 * len(slot))
+        labels = enumerate_labels(rs, face, k, level_bound)
+        report.labels_checked += len(labels)
+        for mu in labels:
+            ends = blank.copy()
+            for walk, steps in paths:
+                red = walk(mu)
                 if red is None:
                     continue
-                label, c = red[0], red[1] * sign
-                for dest, table, sign2 in second[target]:
-                    bucket = total.setdefault(dest, {})
+                label, c = red
+                for i, table, sign in steps:
                     red = table[label]
                     if red is not None:
-                        _add(bucket, red[0], red[1] * sign2 * c)
-            if any(bucket for bucket in total.values()):
+                        ends[i] = (red[0], red[1] * sign * c)
+            if ends[::2] != ends[1::2]:
                 report.passed = False
-                report.violations.append((face, mu, total))
+                report.violations.append((face, mu, _d_squared_total(first, second, mu)))
     return report
+
+
+def _d_squared_total(first, second, mu) -> dict:
+    """d o d of one label, vertex face to {label: coefficient}, with an
+    entry, empty or not, for every vertex face that a nonzero first image
+    reaches."""
+    total = {}
+    for target, kernel, sign in first:
+        red = kernel.walk(mu)
+        if red is None:
+            continue
+        label, c = red[0], red[1] * sign
+        for dest, table, sign2 in second[target]:
+            bucket = total.setdefault(dest, {})
+            red = table[label]
+            if red is not None:
+                _add(bucket, red[0], red[1] * sign2 * c)
+    return total
 
 
 @dataclass

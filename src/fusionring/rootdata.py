@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 from .errors import InputError
 
@@ -310,9 +310,25 @@ def build_root_system(t) -> RootSystem:
 
 
 def _check_weight(rs: RootSystem, w):
+    """The weight as a tuple of ints: an InputError unless it has one
+    integral coordinate per simple root."""
     if len(w) != rs.rank:
         raise InputError(f"weight length {len(w)} does not match rank {rs.rank}")
-    return tuple(w)
+    try:
+        return tuple(map(index, w))
+    except TypeError:
+        raise InputError(f"weight {tuple(w)} has a non-integral coordinate") from None
+
+
+def _check_level(k):
+    """The level as an int: an InputError unless it is a nonnegative integer."""
+    try:
+        k = index(k)
+    except TypeError:
+        raise InputError(f"level {k!r} is not an integer") from None
+    if k < 0:
+        raise InputError("level must be nonnegative")
+    return k
 
 
 def weyl_orbit(rs: RootSystem, w) -> list:
@@ -575,8 +591,7 @@ def rho_walk(rs: RootSystem, level2=None) -> ChamberWalk:
 
 def alcove_weights(rs: RootSystem, k: int) -> list:
     """Dominant weights of level at most k, in lexicographic order."""
-    if k < 0:
-        raise InputError("level must be nonnegative")
+    k = _check_level(k)
     out = []
     comarks = rs.comarks[1:]
 

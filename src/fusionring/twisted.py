@@ -21,7 +21,7 @@ from operator import add, mul, sub
 from .errors import InputError, InternalLimitError
 from .intlinalg import ZEchelon
 from .repring import VirtualCharacter
-from .rootdata import (RootSystem, _check_weight, _integer_form, _node_root,
+from .rootdata import (RootSystem, _check_level, _check_weight, _integer_form, _node_root,
                        alcove_weights, chamber_walk, connected_type, full_weights,
                        reflection_orbit, subsystem_positive_roots, weyl_orbit,
                        weyl_order_of_type)
@@ -181,8 +181,7 @@ def _bounds(rs, k, level_bound=None, lambda_bound=None, base=None):
     base is the level unless a search passes the base level its window is
     enumerated at.  Returns (level_bound, lambda_bound).
     """
-    if k < 0:
-        raise InputError("level must be nonnegative")
+    k = _check_level(k)
     if base is None:
         base = k
     if level_bound is None:
@@ -203,7 +202,8 @@ def enumerate_labels(rs: RootSystem, subset, k: int, bound: int) -> list:
     have labels bounded above in level, so the window keeps the slab of
     depth bound below the top; for the other faces the window is the
     symmetric level band.  Each level is filled coordinate by coordinate,
-    in ranges cut by the walls and the levels later coordinates can reach.
+    in ranges cut by the walls and the levels later coordinates can reach;
+    the level fixes the last coordinate.
     """
     subset = face_subset(rs, subset)
     _bounds(rs, k)
@@ -213,14 +213,16 @@ def enumerate_labels(rs: RootSystem, subset, k: int, bound: int) -> list:
         lo, hi = k - bound, min(k, (2 * k - rs.level(r2) - 1) // 2)
     # strictly inside the linear walls: 2 mu_i + r2_i > 0
     low = [max(-bound, -r2[i] // 2 + 1) if i + 1 in subset else -bound for i in range(n)]
-    least = [sum(map(mul, comarks[j:], low[j:])) for j in range(n + 1)]
-    most = [bound * sum(comarks[j:]) for j in range(n + 1)]
+    least = [sum(map(mul, comarks[j:], low[j:])) for j in range(n)]
+    most = [bound * sum(comarks[j:]) for j in range(n)]
     out = []
 
     def fill(prefix, rest):
         j = len(prefix)
-        if j == n:
-            out.append(prefix)
+        if j == n - 1:
+            x, r = divmod(rest, comarks[j])
+            if not r and low[j] <= x <= bound:
+                out.append((*prefix, x))
             return
         c = comarks[j]
         for x in range(max(low[j], (rest - most[j + 1] + c - 1) // c),

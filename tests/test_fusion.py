@@ -1,6 +1,7 @@
 import cmath
 import random
 from collections import Counter
+from operator import mul
 
 import pytest
 
@@ -262,6 +263,39 @@ def test_verlinde_numeric(name, kmax, request):
         assert report.passed
         if k == 0:
             assert report.max_abs_deviation < 1e-12
+
+
+def verlinde_by_ordered_pairs(rs, k, tol=1e-6):
+    """The Verlinde check over every ordered pair (a, b): the slow path for
+    fusion.verlinde_numeric_check, which evaluates the pairs a <= b."""
+    basis = alcove_weights(rs, k)
+    smat = fusion._s_matrix(rs, basis, k)
+    vac = smat[basis.index((0,) * rs.rank)]
+    norm = sum(abs(x) ** 2 for x in vac)
+    conj = [[x.conjugate() for x in row] for row in smat]
+    table = fusion_table(rs, k)
+    max_dev = 0.0
+    checked = 0
+    for a, row_a in zip(basis, smat):
+        for b, row_b in zip(basis, smat):
+            exact = table[(a, b)].terms
+            ab = [x * y / z for x, y, z in zip(row_a, row_b, vac)]
+            for c, row_c in zip(basis, conj):
+                dev = abs(sum(map(mul, ab, row_c)) / norm - exact.get(c, 0))
+                max_dev = max(max_dev, dev)
+                checked += 1
+    return fusion.VerlindeReport(group=str(rs.lie_type), level=k, tol=tol,
+                                 max_abs_deviation=max_dev, entries_checked=checked,
+                                 passed=max_dev < tol)
+
+
+@pytest.mark.parametrize("name,kmax", [("A1", 4), ("A2", 4), ("B2", 3), ("G2", 6)])
+def test_verlinde_unordered_pairs_match_ordered_pairs(name, kmax):
+    # the same report, the float deviation bit for bit
+    rs = build_root_system(name)
+    for k in range(kmax + 1):
+        assert verlinde_numeric_check(rs, k).to_json_dict() == \
+            verlinde_by_ordered_pairs(rs, k).to_json_dict(), k
 
 
 def fraction_s_matrix(rs, basis, k):

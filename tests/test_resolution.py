@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import combinations, count
+from operator import add
 
 import pytest
 
@@ -109,9 +110,10 @@ def _add(out, label, c):
         del out[label]
 
 
-def _d_squared_by_components(rs, k):
+def _d_squared_by_components(rs, k, level_bound=None):
     # d o d label by label, every step through d1_component and no table
-    level_bound = k + 2 * rs.dual_coxeter
+    if level_bound is None:
+        level_bound = k + 2 * rs.dual_coxeter
     n = rs.rank
     report = D2Report(group=str(rs.lie_type), level=k, level_bound=level_bound,
                       modules_checked=0, labels_checked=0, passed=True)
@@ -135,10 +137,11 @@ def _d_squared_by_components(rs, k):
     return report
 
 
-def _cokernel_by_components(rs, k):
+def _cokernel_by_components(rs, k, level_bound=None):
     # vertex labels and edge images folded one weight at a time through
     # fold_weight, the edge images through d1_component
-    level_bound = k + 2 * rs.dual_coxeter
+    if level_bound is None:
+        level_bound = k + 2 * rs.dual_coxeter
     n = rs.rank
     alcove = set(alcove_weights(rs, k))
     hit = set()
@@ -185,7 +188,9 @@ def test_complex_checks_match_component_path(name, k):
 def test_d_squared_reports_a_flipped_sign(monkeypatch):
     # one wrong simplicial sign on the edge (0, 2) of A3, read by the
     # second step through its walk tables, breaks d o d on the two
-    # degree-2 faces inside that edge and nowhere else
+    # degree-2 faces inside that edge and nowhere else; the two paths then
+    # reach one label with equal signs, and every violation entry matches
+    # the component path's under the same fault
     rs = build_root_system("A3")
     cofaces = resolution._cofaces
 
@@ -199,9 +204,35 @@ def test_d_squared_reports_a_flipped_sign(monkeypatch):
     monkeypatch.setattr(resolution, "_cofaces", flipped)
     report = d_squared_check(rs, 1, level_bound=6)
     assert not report.passed
-    assert report.violations
     assert {face for face, _, _ in report.violations} == {(0,), (2,)}
-    assert report.to_json_dict()["violations"][0].startswith("((0,), ")
+    assert report.to_json_dict() == _d_squared_by_components(rs, 1, 6).to_json_dict()
+
+
+def test_d_squared_reports_a_dropped_image(monkeypatch):
+    # the walk into the vertex face (0, 1, 2) of A3 loses the image of one
+    # label of the edge (0, 2), so one path reaches a label that the other
+    # path does not cancel; every violation entry matches the component
+    # path's under the same fault
+    rs = build_root_system("A3")
+    cofaces = resolution._cofaces
+    # a first image from the face (0,) with a nonzero second image
+    reached = (d1_component(rs, (0,), 2, 1, mu) for mu in enumerate_labels(rs, (0,), 1, 6))
+    victim = next(red[0] for red in reached
+                  if red is not None and d1_component(rs, (0, 2), 1, 1, red[0]) is not None)
+
+    def drop(kernel):
+        def walk(w, nu=(0,) * rs.rank):
+            return None if tuple(map(add, w, nu)) == victim else kernel.walk(w, nu)
+        return kernel._replace(walk=walk)
+
+    def dropped(rs_, subset, k):
+        return tuple((target, drop(kernel) if target == (0, 1, 2) else kernel, sign)
+                     for target, kernel, sign in cofaces(rs_, subset, k))
+
+    monkeypatch.setattr(resolution, "_cofaces", dropped)
+    report = d_squared_check(rs, 1, level_bound=6)
+    assert not report.passed
+    assert report.to_json_dict() == _d_squared_by_components(rs, 1, 6).to_json_dict()
 
 
 # Walks of the two complex checks on G2 at level 2: the second step of

@@ -6,12 +6,18 @@ from operator import mul
 
 import pytest
 
-from fusionring import (InputError, LieType, alcove_weights, build_root_system,
-                        full_weights, shifted_dominant_reduce,
-                        weight_multiplicity, weyl_dimension, weyl_orbit)
-from fusionring.rootdata import (chamber_walk, connected_type, dominant_reduce,
-                                 reflection_orbit, rho_walk, weyl_orbit_signed)
-from fusionring.twisted import centralizer_info, classify_centralizer, rho2
+from fusionring import (InputError, LieType, alcove_weights, build_complex,
+                        build_root_system, d1_component, d_squared_check, fold_weight,
+                        full_weights, fusion_product, fusion_table,
+                        regularize_affine, shifted_dominant_reduce,
+                        verlinde_numeric_check, weight_multiplicity, weyl_dimension,
+                        weyl_orbit)
+from fusionring import fusion, twisted
+from fusionring.rootdata import (_check_level, _check_weight, chamber_walk,
+                                 connected_type, dominant_reduce, reflection_orbit,
+                                 rho_walk, weyl_orbit_signed)
+from fusionring.twisted import (centralizer_info, classify_centralizer, is_valid_label,
+                                rho2)
 
 from conftest import reference_walk
 
@@ -458,3 +464,67 @@ def test_walk_kernels_are_named_after_their_group():
     kernel = chamber_walk(build_root_system("B3"), (1, 2), (0, 2, 2), None)
     assert "B3" in kernel.walk.__code__.co_filename
     assert "level2=None" in kernel.walk.__code__.co_filename
+
+
+class _Index:
+    """An integer-like coordinate: not an int, but with __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+WEIGHT_ENTRY_POINTS = {
+    "weyl_orbit": lambda g2, w: weyl_orbit(g2, w),
+    "fold_weight": lambda g2, w: fold_weight(g2, w, 2),
+    "regularize_affine": lambda g2, w: regularize_affine(g2, (0, 1), 2, w),
+    "is_valid_label": lambda g2, w: is_valid_label(g2, (0, 1), 2, w),
+    "d1_component": lambda g2, w: d1_component(g2, (1,), 0, 2, w),
+    "fusion_product": lambda g2, w: fusion_product(g2, w, (0, 0), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_ENTRY_POINTS))
+def test_weight_entry_points_reject_a_non_integral_coordinate(name):
+    # weyl_orbit returned a half-integral orbit, and the walks raised a bare
+    # TypeError; an integer-like coordinate still passes as its int
+    g2 = build_root_system("G2")
+    call = WEIGHT_ENTRY_POINTS[name]
+    with pytest.raises(InputError, match=r"weight \(0\.5, 0\) has a non-integral coordinate"):
+        call(g2, (0.5, 0))
+    with pytest.raises(InputError, match="non-integral"):
+        call(g2, (1.0, 0))
+    assert call(g2, (_Index(1), False)) == call(g2, (1, 0))
+
+
+def test_checked_weights_come_back_as_ints():
+    g2 = build_root_system("G2")
+    checked = _check_weight(g2, [_Index(2), True])
+    assert checked == (2, 1) and all(type(x) is int for x in checked)
+
+
+LEVEL_ENTRY_POINTS = {
+    "twisted._bounds": lambda g2, k: twisted._bounds(g2, k),
+    "fusion._fold_kernel": lambda g2, k: fusion._fold_kernel(g2, k),
+    "alcove_weights": lambda g2, k: alcove_weights(g2, k),
+    "build_complex": lambda g2, k: build_complex(g2, k),
+    "d_squared_check": lambda g2, k: d_squared_check(g2, k),
+    "fusion_table": lambda g2, k: fusion_table(g2, k),
+    "verlinde_numeric_check": lambda g2, k: verlinde_numeric_check(g2, k),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_ENTRY_POINTS))
+def test_level_checks_reject_a_non_integral_level(name):
+    # build_complex returned a spec at level 1.5, and the walks raised a
+    # bare TypeError at 2.0; a negative level keeps its message
+    g2 = build_root_system("G2")
+    call = LEVEL_ENTRY_POINTS[name]
+    for k in (1.5, 2.0):
+        with pytest.raises(InputError, match=rf"level {k} is not an integer"):
+            call(g2, k)
+    with pytest.raises(InputError, match="level must be nonnegative"):
+        call(g2, -1)
+    assert _check_level(_Index(3)) == 3
