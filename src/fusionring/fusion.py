@@ -53,6 +53,7 @@ def fold_weight(rs: RootSystem, w, k: int):
 
 def fold(rs: RootSystem, x: VirtualCharacter, k: int) -> FusionElement:
     """Linear extension of the alcove reduction to virtual characters."""
+    k = _check_level(k)
     kernel = _fold_kernel(rs, k)
     for w in x.terms:
         _check_weight(rs, w)
@@ -72,6 +73,7 @@ def fusion_product(rs: RootSystem, a, b, k: int) -> FusionElement:
     weights of m_p(nu) * fold(s + nu), s the other factor: one affine walk
     per weight of p, with no tensor product in between.
     """
+    k = _check_level(k)
     kernel = _fold_kernel(rs, k)
     a, b = _check_weight(rs, a), _check_weight(rs, b)
     for w in (a, b):
@@ -101,6 +103,7 @@ def fusion_table(rs: RootSystem, k: int) -> dict:
     walk table (nu to the fold of s + nu), so each s + nu is walked once;
     the table is dropped when s is done.
     """
+    k = _check_level(k)
     kernel = _fold_kernel(rs, k)
     basis = alcove_weights(rs, k)
     order = sorted(basis, key=fewer_weights_first(rs))
@@ -164,6 +167,7 @@ def verlinde_numeric_check(rs: RootSystem, k: int, tol: float = 1e-6) -> Verlind
     """
     if not 0 < tol < math.inf:
         raise InputError("tolerance must be positive and finite")
+    k = _check_level(k)
     basis = alcove_weights(rs, k)
     smat = _s_matrix(rs, basis, k)
     vac = smat[basis.index((0,) * rs.rank)]

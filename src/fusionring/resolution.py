@@ -11,20 +11,17 @@ plus quotient codimensions over Q and prime fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
-from operator import sub
 
-from .errors import InputError, InternalLimitError
-from .fusion import in_fusion_ideal
+from .errors import InputError
+from .fusion import _fold_kernel, in_fusion_ideal
 from .groebner import FieldPoly, check_prime, quotient_codimension
 from .repring import VirtualCharacter, to_polynomial
 from .rootdata import (RootSystem, _WalkTable, _check_level, _check_weight, alcove_weights,
                        rho_walk)
 from .sparse import Report
-from .twisted import (_bounds, _face_walk, _label_key, _orbit_sums, _search_basis,
-                      centralizer_info, enumerate_labels, face_subset, find_module_basis,
-                      is_valid_label, regularize_affine)
+from .twisted import (_bounds, _face_walk, _search_basis, centralizer_info, enumerate_labels,
+                      face_subset, find_module_basis, is_valid_label)
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -75,7 +72,6 @@ def d1_component(rs: RootSystem, subset, j: int, k: int, mu):
     return None if red is None else (red[0], red[1] * sign)
 
 
-@lru_cache(maxsize=None)
 def _cofaces(rs, subset, k) -> tuple:
     """(target face, walk kernel, simplicial sign) for each coface of a
     validated face; the vertex faces have none."""
@@ -122,7 +118,7 @@ def d_squared_check(rs: RootSystem, k: int, level_bound: int | None = None) -> D
     cancels; a label that fails is walked again through _d_squared_total,
     which gives its violation entry.
     """
-    level_bound = _bounds(rs, k, level_bound)[0]
+    k, level_bound, _ = _bounds(rs, k, level_bound)
     n = rs.rank
     report = D2Report(group=str(rs.lie_type), level=k, level_bound=level_bound,
                       modules_checked=0, labels_checked=0, passed=True)
@@ -136,9 +132,10 @@ def d_squared_check(rs: RootSystem, k: int, level_bound: int | None = None) -> D
         report.modules_checked += 1
         first = _cofaces(rs, face, k)
         for target, _, _ in first:
-            second.setdefault(target, [
-                (dest, tables.setdefault(dest, _WalkTable(kernel.walk, zero)), sign)
-                for dest, kernel, sign in _cofaces(rs, target, k)])
+            if target not in second:
+                second[target] = [
+                    (dest, tables.setdefault(dest, _WalkTable(kernel.walk, zero)), sign)
+                    for dest, kernel, sign in _cofaces(rs, target, k)]
         # the two paths into the m-th vertex face write slots 2m and 2m + 1,
         # the second negated, so the paths cancel when the slots are equal
         slot = {}
@@ -212,10 +209,10 @@ def cokernel_vs_oracle(rs: RootSystem, k: int, level_bound: int | None = None) -
     One fold table, dropped when the check returns, serves the vertex
     labels and the edge images; the edge-to-vertex step walks directly.
     """
-    level_bound = _bounds(rs, k, level_bound)[0]
+    k, level_bound, _ = _bounds(rs, k, level_bound)
     n = rs.rank
     alcove = set(alcove_weights(rs, k))
-    fold = _WalkTable(rho_walk(rs, 2 * (k + rs.dual_coxeter)).walk, (0,) * n)
+    fold = _WalkTable(_fold_kernel(rs, k).walk, (0,) * n)
     hit = set()
     edge_ok = True
     first_failure = ""
@@ -274,18 +271,15 @@ def extract_presentation(rs: RootSystem, k: int,
     edge labels), the lift set is extended to an edge basis, and each
     extension element g contributes the generator: its full-group induction
     minus the inductions of the lifts weighted by the solution of
-    d1(g) = sum c_s d1(lift_s) over the vertex basis.  The system is solved
-    on the echelon the vertex basis search built and certified, translated
-    to the search's base level and written on label codes.  Each term
-    c m(lam) x ind(lift) of the solution, m(lam) the Weyl orbit sum the
-    search's rows were built from, is one Brauer-Klimyk sum over the orbit
-    added into the generator, so no weight system is expanded.
+    d1(g) = sum c_s d1(lift_s) over the vertex basis, which the vertex
+    search solves (twisted._search_basis) on the echelon it built and
+    certified.  Each term c m(lam) x ind(lift), m(lam) the Weyl orbit sum
+    of the search's rows, is one Brauer-Klimyk sum over the orbit added
+    into the generator, so no weight system is expanded.
     """
-    level_bound, lambda_bound = _bounds(rs, k, level_bound, lambda_bound)
+    k, level_bound, lambda_bound = _bounds(rs, k, level_bound, lambda_bound)
     n = rs.rank
-    key = _label_key(rs)
     induce = rho_walk(rs).signed_sum
-    orbits = dict(_orbit_sums(rs, lambda_bound))
     gens: list[VirtualCharacter] = []
     per_edge = {}
     bound = 0
@@ -293,8 +287,8 @@ def extract_presentation(rs: RootSystem, k: int,
         vertex = face_subset(rs, tuple(i for i in range(n + 1) if i != j))
         edge = face_subset(rs, tuple(i for i in vertex if i != 0))
         bound += centralizer_info(rs, edge).module_rank
-        vertex_basis, ech, shift = _search_basis(rs, vertex, k, (), level_bound,
-                                                 lambda_bound, tagged=True)
+        vertex_basis, solve = _search_basis(rs, vertex, k, (), level_bound, lambda_bound,
+                                            tagged=True)
         # a vertex label is an edge label: the edge has no affine wall, and
         # rho_vertex and rho_edge both pair to 1 with each simple coroot of it
         for b in vertex_basis:
@@ -308,19 +302,10 @@ def extract_presentation(rs: RootSystem, k: int,
         for g in edge_basis:
             if g in vertex_basis:
                 continue
-            # the target, the walk of g at level k minus shift, walks g - shift at k0
-            red = regularize_affine(rs, vertex, k, g)
-            target = {} if red is None else {key(tuple(map(sub, red[0], shift))): red[1]}
-            residual, combo = ech.reduce(target, want_combination=True)
-            if residual:
-                raise InternalLimitError(
-                    f"cannot express d1({g}) over the vertex basis of {vertex} "
-                    f"at level {k}: raise lambda_bound (level_bound={level_bound}, "
-                    f"lambda_bound={lambda_bound})")
             gen = induce({g: 1})
-            for (idx, lam), c in combo.items():
+            for idx, orbit, c in solve(g):
                 for w, sign in inductions[idx].items():
-                    induce(orbits[lam], w, -c * sign, gen)
+                    induce(orbit, w, -c * sign, gen)
             if gen:
                 gens.append(VirtualCharacter(gen))
                 emitted += 1
@@ -386,6 +371,7 @@ def verify_presentation(rs: RootSystem, k: int, gens,
         if p in primes[:i]:
             raise InputError(f"prime {p} is repeated")
         check_prime(p)
+    k = _check_level(k)
     membership = [in_fusion_ideal(rs, g, k) for g in gens]
     alcove_count = len(alcove_weights(rs, k))
     codim_q = None

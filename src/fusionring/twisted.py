@@ -145,9 +145,9 @@ def _beta2(rs, subset, w):
 def _face_walk(rs: RootSystem, subset: tuple, k: int):
     """The chamber-walk kernel (rootdata.chamber_walk) of a validated face
     at level k: the face's linear walls, the shift 2 rho_S, and the affine
-    wall at level k when the face holds node 0.  A negative level is an
-    InputError."""
-    _bounds(rs, k)
+    wall at level k when the face holds node 0.  A level that is not a
+    nonnegative integer is an InputError."""
+    k = _check_level(k)
     return chamber_walk(rs, tuple(i - 1 for i in subset if i), rho2(rs, subset),
                         2 * k if 0 in subset else None)
 
@@ -172,27 +172,24 @@ def is_valid_label(rs: RootSystem, subset, k: int, mu) -> bool:
     return walk(mu) == (mu, 1)
 
 
-def _bounds(rs, k, level_bound=None, lambda_bound=None, base=None):
+def _bounds(rs, k, level_bound=None, lambda_bound=None):
     """Check the level and the truncation bounds and fill in their defaults.
 
-    The level must be nonnegative, an explicit level_bound at least base
-    and an explicit lambda_bound nonnegative.  By default level_bound =
-    base + 2 h^vee and lambda_bound = level_bound + h^vee + base, where
-    base is the level unless a search passes the base level its window is
-    enumerated at.  Returns (level_bound, lambda_bound).
-    """
+    The level must be a nonnegative integer, an explicit level_bound at
+    least the level and an explicit lambda_bound nonnegative.  By default
+    level_bound = k + 2 h^vee and lambda_bound = level_bound + h^vee + k,
+    k the base level when a search calls.  Returns (k as an int,
+    level_bound, lambda_bound)."""
     k = _check_level(k)
-    if base is None:
-        base = k
     if level_bound is None:
-        level_bound = base + 2 * rs.dual_coxeter
-    elif level_bound < base:
+        level_bound = k + 2 * rs.dual_coxeter
+    elif level_bound < k:
         raise InputError("level_bound must be at least the level")
     if lambda_bound is None:
-        lambda_bound = level_bound + rs.dual_coxeter + base
+        lambda_bound = level_bound + rs.dual_coxeter + k
     elif lambda_bound < 0:
         raise InputError("lambda_bound must be nonnegative")
-    return level_bound, lambda_bound
+    return k, level_bound, lambda_bound
 
 
 def enumerate_labels(rs: RootSystem, subset, k: int, bound: int) -> list:
@@ -206,7 +203,7 @@ def enumerate_labels(rs: RootSystem, subset, k: int, bound: int) -> list:
     the level fixes the last coordinate.
     """
     subset = face_subset(rs, subset)
-    _bounds(rs, k)
+    k = _check_level(k)
     n, r2, comarks = rs.rank, rho2(rs, subset), rs.comarks[1:]
     lo, hi = -bound, bound
     if 0 in subset:   # strictly below the affine wall: 2 level(mu) + level(r2) < 2k
@@ -252,7 +249,7 @@ class TwistedModuleElement(Sparse):
         mu = tuple(mu)
         if not is_valid_label(rs, subset, level, mu):
             raise InputError(f"{mu} is not a chamber label for face {subset}")
-        return cls(subset, level, {mu: 1})
+        return cls(subset, _check_level(level), {mu: 1})
 
 
 def char_expansion(rs: RootSystem, c: VirtualCharacter) -> dict:
@@ -386,7 +383,7 @@ def verify_module_basis(rs: RootSystem, subset, k: int, candidates,
     """
     subset = face_subset(rs, subset)
     candidates = tuple(tuple(c) for c in candidates)
-    level_bound, lambda_bound = _bounds(rs, k, level_bound, lambda_bound)
+    k, level_bound, lambda_bound = _bounds(rs, k, level_bound, lambda_bound)
     info = centralizer_info(rs, subset)
     report = BasisReport(group=str(rs.lie_type), subset=subset, level=k,
                          candidates=candidates, module_rank=info.module_rank,
@@ -485,28 +482,28 @@ def _window_order(rs, subset, window, seeds):
 
 
 def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, *, tagged):
-    """The search of find_module_basis on a validated face.
+    """The search of find_module_basis on a validated face: (basis, solve).
 
-    Returns (basis, echelon, shift).  A face through the affine node is
-    searched at its base level k0 = k mod twist order, which translation by
-    shift identifies with level k; shift is zero on the other faces.  The
-    echelon holds the product rows m(lam) * (basis - shift) at level k0 on
-    label codes.  The translation fixes the face's linear walls, moves its
-    affine wall by k - k0 and keeps the column order, so these rows are the
-    level-k rows translated.  When tagged, the row of m(lam) times the
-    basis label at index i carries the tag {(i, lam): 1}, so reducing the
-    code (_label_key) of a level-k label minus shift solves over the basis.
-    Only a caller that reads the solution asks for tags: they follow every
-    row operation and would outweigh the sparse rows."""
+    A face through the affine node is searched at its base level
+    k0 = k mod twist order, which translation by shift identifies with
+    level k; shift is zero on the other faces.  The echelon holds the rows
+    m(lam) * (basis - shift) at level k0 on label codes (_label_key): the
+    translation fixes the linear walls, moves the affine wall by k - k0
+    and keeps the column order, so these are the level-k rows translated.
+    Tagged, the row of m(lam) times basis[i] carries {(i, lam): 1}, and
+    solve(mu) writes d1(mu), the signed walk of mu at level k (of mu - shift
+    at k0), as the triples (i, m(lam), c) of sum c m(lam) * basis[i].  Tags
+    follow every row operation and would outweigh the sparse rows, so only
+    a caller that reads solutions asks for them; untagged, solve is None."""
+    k = _check_level(k)
     d = twist_order(rs, subset) if 0 in subset else 0
     k0 = k % d if d else k
-    level_bound, lambda_bound = _bounds(rs, k, level_bound, lambda_bound, k0)
+    _, level_bound, lambda_bound = _bounds(rs, k0, level_bound, lambda_bound)
     shift = (0,) * rs.rank
+    where = f"face {subset} at level {k0}"
     if k != k0:
         shift = tuple((k - k0) // d * t for t in translation_weight(rs, subset))
         seeds = [tuple(map(sub, s, shift)) for s in seeds]
-    where = f"face {subset} at level {k0}"
-    if k != k0:
         where += f" (translated from requested level {k})"
     bounds = f"level_bound={level_bound}, lambda_bound={lambda_bound}"
     rank = centralizer_info(rs, subset).module_rank
@@ -515,12 +512,12 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, *, tagged):
     chosen = []
     key = _label_key(rs)
     ech = ZEchelon()
-    orbits = _orbit_sums(rs, lambda_bound)
+    orbits = dict(_orbit_sums(rs, lambda_bound))
 
     def take(c):
         idx = len(chosen)
         chosen.append(c)
-        for lam, vec in _candidate_rows(rs, subset, k0, c, orbits, key):
+        for lam, vec in _candidate_rows(rs, subset, k0, c, orbits.items(), key):
             ech.insert(vec, {(idx, lam): 1} if tagged else None)
 
     for s in seeds:
@@ -542,7 +539,20 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, *, tagged):
         raise InternalLimitError(
             f"candidate set {chosen} fails to span label {missed} on {where}: "
             f"too few character multiples, raise lambda_bound ({bounds})")
-    return [tuple(map(add, c, shift)) for c in chosen], ech, shift
+    basis = [tuple(map(add, c, shift)) for c in chosen]
+    walk = _face_walk(rs, subset, k0).walk
+
+    def solve(mu):
+        red = walk(tuple(map(sub, mu, shift)))
+        target = {} if red is None else {key(red[0]): red[1]}
+        residual, combo = ech.reduce(target, want_combination=True)
+        if residual:
+            raise InternalLimitError(
+                f"cannot express d1({mu}) over the vertex basis of {subset} "
+                f"at level {k}: raise lambda_bound ({bounds})")
+        return [(i, orbits[lam], c) for (i, lam), c in combo.items()]
+
+    return basis, solve if tagged else None
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +594,7 @@ def module_element_expansion(rs: RootSystem, subset, k: int, mu) -> dict:
     antisymmetrization of rho_S.  A label on a wall of the face group
     antisymmetrizes to zero, so its expansion is empty."""
     subset = face_subset(rs, subset)
-    mu = _check_weight(rs, mu)
+    k, mu = _check_level(k), _check_weight(rs, mu)
     if _face_walk(rs, subset, k).walk(mu) is None:
         return {}
     order = centralizer_info(rs, subset).weyl_order

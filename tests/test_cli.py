@@ -278,6 +278,24 @@ def test_code_is_generated_only_for_walk_kernels():
     assert calls == {("rootdata", "exec"), ("rootdata", "compile")}
 
 
+def test_label_codes_and_translation_stay_in_twisted():
+    # the basis search owns the label codes, the orbit sums, the
+    # translation to the base level and the solves over its tagged
+    # echelon: no other module names them or asks reduce for a combination
+    private = {"_label_key", "_LabelKeys", "_orbit_sums", "translation_weight"}
+    found = set()
+    for path in sorted(Path(fusionring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, attr, None) for attr in ("id", "attr", "name")}
+            found |= {(path.stem, name) for name in names & private}
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "reduce" \
+                    and (node.args[1:] or any(kw.arg == "want_combination"
+                                              for kw in node.keywords)):
+                found.add((path.stem, "reduce"))
+    assert {stem for stem, _ in found} == {"twisted"}
+    assert {name for _, name in found} == private | {"reduce"}
+
+
 def test_composite_primes_exit_two(capsys):
     for primes in ("4", "2,9", "2147483659"):
         code, _, err = run(capsys, ["verify-g2", "--level", "1", "--primes", primes])

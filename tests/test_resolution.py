@@ -245,9 +245,9 @@ G2_LEVEL_TWO_COKERNEL_WALKS = 862
 
 def test_complex_checks_walk_each_second_image_once(g2, monkeypatch):
     # every walk goes through a kernel resolution._face_walk (the coface
-    # steps) or resolution.rho_walk (the fold) returns
+    # steps) or resolution._fold_kernel (the fold) returns
     walks = Counter()
-    face_walk, rho_walk = resolution._face_walk, resolution.rho_walk
+    face_walk, fold_kernel = resolution._face_walk, resolution._fold_kernel
 
     def counted(kernel, key):
         def walk(w, nu=(0,) * g2.rank):
@@ -257,20 +257,15 @@ def test_complex_checks_walk_each_second_image_once(g2, monkeypatch):
 
     monkeypatch.setattr(resolution, "_face_walk",
                         lambda rs, subset, k: counted(face_walk(rs, subset, k), subset))
-    monkeypatch.setattr(resolution, "rho_walk",
-                        lambda rs, level2=None: counted(rho_walk(rs, level2), "fold"))
-    resolution._cofaces.cache_clear()
-    try:
-        assert d_squared_check(g2, 2).passed
-        assert max(n for (face, _, _), n in walks.items()
-                   if len(face) == g2.rank) == 1
-        assert sum(walks.values()) == G2_LEVEL_TWO_D_SQUARED_WALKS
-        walks.clear()
-        assert cokernel_vs_oracle(g2, 2).passed
-        assert max(n for (key, _, _), n in walks.items() if key == "fold") == 1
-        assert sum(walks.values()) == G2_LEVEL_TWO_COKERNEL_WALKS
-    finally:
-        resolution._cofaces.cache_clear()
+    monkeypatch.setattr(resolution, "_fold_kernel",
+                        lambda rs, k: counted(fold_kernel(rs, k), "fold"))
+    assert d_squared_check(g2, 2).passed
+    assert max(n for (face, _, _), n in walks.items() if len(face) == g2.rank) == 1
+    assert sum(walks.values()) == G2_LEVEL_TWO_D_SQUARED_WALKS
+    walks.clear()
+    assert cokernel_vs_oracle(g2, 2).passed
+    assert max(n for (key, _, _), n in walks.items() if key == "fold") == 1
+    assert sum(walks.values()) == G2_LEVEL_TWO_COKERNEL_WALKS
 
 
 def test_complex_checks_reject_a_negative_level(a2):
@@ -407,22 +402,24 @@ def test_extract_presentation_g2_level_one(g2):
 
 
 # Walks of extract_presentation(G2, 1): 10 727 in the product rows and 7
-# in regularize_affine.  Without the per-candidate walk table the product
-# rows made 411 664; since the rows are Weyl orbit sums, whose orbits are
-# disjoint, they walk each c + nu once with no table.
+# by the solves of the vertex searches, one per lift target.  Without the
+# per-candidate walk table the product rows made 411 664; since the rows
+# are Weyl orbit sums, whose orbits are disjoint, they walk each c + nu
+# once with no table.
 G2_LEVEL_ONE_WALKS = 10_734
 
 
 def test_extract_walks_each_shifted_weight_once(g2, monkeypatch):
-    # the product rows walk through the signed_sum of the kernel
-    # twisted._face_walk returns; inside one call of _candidate_rows no
-    # candidate c walks the same c + nu twice
+    # the product rows walk through the signed_sum, and the solves through
+    # the walk, of the kernels twisted._face_walk returns; inside one call
+    # of _candidate_rows no candidate c walks the same c + nu twice
     walks = Counter()
-    regularized = count()
+    targets = count()
     build = [None]
     builds = count()
+    solving = [False]
     face_walk, candidate_rows = twisted._face_walk, twisted._candidate_rows
-    regularize = resolution.regularize_affine
+    search_basis = resolution._search_basis
 
     def counted_face_walk(rs, subset, k):
         kernel = face_walk(rs, subset, k)
@@ -431,7 +428,12 @@ def test_extract_walks_each_shifted_weight_once(g2, monkeypatch):
             for w in terms:
                 walks[build[0], subset, k, tuple(nu), tuple(w)] += 1
             return kernel.signed_sum(terms, nu, *args)
-        return kernel._replace(signed_sum=signed_sum)
+
+        def walk(w, nu=(0,) * rs.rank):
+            if solving[0]:
+                next(targets)
+            return kernel.walk(w, nu)
+        return kernel._replace(signed_sum=signed_sum, walk=walk)
 
     def counted_rows(rs, subset, k, c, orbits, key):
         weights = [w for _, orbit in orbits for w in orbit]
@@ -442,17 +444,46 @@ def test_extract_walks_each_shifted_weight_once(g2, monkeypatch):
         finally:
             build[0] = None
 
-    def counted_regularize(*args):
-        next(regularized)
-        return regularize(*args)
+    def counted_search(*args, **kwargs):
+        basis, solve = search_basis(*args, **kwargs)
+
+        def counted_solve(mu):
+            solving[0] = True
+            try:
+                return solve(mu)
+            finally:
+                solving[0] = False
+        return basis, counted_solve
 
     monkeypatch.setattr(twisted, "_face_walk", counted_face_walk)
     monkeypatch.setattr(twisted, "_candidate_rows", counted_rows)
-    monkeypatch.setattr(resolution, "regularize_affine", counted_regularize)
+    monkeypatch.setattr(resolution, "_search_basis", counted_search)
     extract_presentation(g2, 1)
     assert None not in {key[0] for key in walks}
     assert max(walks.values()) == 1
-    assert sum(walks.values()) + next(regularized) == G2_LEVEL_ONE_WALKS
+    assert sum(walks.values()) + next(targets) == G2_LEVEL_ONE_WALKS
+
+
+@pytest.mark.parametrize("name, k", [("A1", 7), ("B2", 2), ("G2", 3)])
+def test_extract_walks_faces_through_node_0_at_the_base_level(name, k, monkeypatch):
+    # the vertex searches and their solves run at the base level
+    # k mod twist order: no kernel of a face through node 0 is asked for
+    # at the level of the extraction
+    rs = build_root_system(name)
+    asked = set()
+    face_walk = twisted._face_walk
+
+    def recorded(rs_, subset, level):
+        asked.add((subset, level))
+        return face_walk(rs_, subset, level)
+
+    monkeypatch.setattr(twisted, "_face_walk", recorded)
+    extract_presentation(rs, k)
+    through_0 = {(subset, level) for subset, level in asked if 0 in subset}
+    assert {subset for subset, _ in through_0} == \
+        {tuple(i for i in range(rs.rank + 1) if i != j) for j in range(1, rs.rank + 1)}
+    for subset, level in through_0:
+        assert level == k % twisted.twist_order(rs, subset), (subset, level)
 
 
 @pytest.mark.parametrize("name, k, builds", [("G2", 1, 17), ("A2", 3, 8)])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import linecache
 import random
 from fractions import Fraction
@@ -6,13 +7,16 @@ from operator import mul
 
 import pytest
 
-from fusionring import (InputError, LieType, alcove_weights, build_complex,
-                        build_root_system, d1_component, d_squared_check, fold_weight,
-                        full_weights, fusion_product, fusion_table,
-                        regularize_affine, shifted_dominant_reduce,
-                        verlinde_numeric_check, weight_multiplicity, weyl_dimension,
-                        weyl_orbit)
+from fusionring import (InputError, LieType, TwistedModuleElement, VirtualCharacter,
+                        alcove_weights, build_complex, build_root_system, cokernel_vs_oracle,
+                        d1_component, d_squared_check, enumerate_labels, extract_presentation,
+                        find_module_basis, fold, fold_weight, full_weights, fusion_product,
+                        fusion_table, g2_fusion_ideal_generators, module_element_expansion,
+                        regularize_affine, shifted_dominant_reduce, verify_module_basis,
+                        verify_presentation, verlinde_numeric_check, weight_multiplicity,
+                        weyl_dimension, weyl_orbit)
 from fusionring import fusion, twisted
+from fusionring.sparse import to_json
 from fusionring.rootdata import (_check_level, _check_weight, chamber_walk,
                                  connected_type, dominant_reduce, reflection_orbit,
                                  rho_walk, weyl_orbit_signed)
@@ -513,6 +517,20 @@ LEVEL_ENTRY_POINTS = {
     "d_squared_check": lambda g2, k: d_squared_check(g2, k),
     "fusion_table": lambda g2, k: fusion_table(g2, k),
     "verlinde_numeric_check": lambda g2, k: verlinde_numeric_check(g2, k),
+    "cokernel_vs_oracle": lambda g2, k: cokernel_vs_oracle(g2, k),
+    "fusion_product": lambda g2, k: fusion_product(g2, (1, 0), (0, 1), k),
+    "regularize_affine": lambda g2, k: regularize_affine(g2, (0, 1), k, (3, 1)),
+    "find_module_basis": lambda g2, k: find_module_basis(g2, (0, 2), k),
+    "extract_presentation": lambda g2, k: extract_presentation(g2, k),
+    "verify_module_basis": lambda g2, k: verify_module_basis(
+        g2, (0, 2), k, find_module_basis(g2, (0, 2), 2)),
+    "enumerate_labels": lambda g2, k: enumerate_labels(g2, (0, 2), k, 3),
+    "fold": lambda g2, k: fold(g2, VirtualCharacter.irrep((2, 1)), k),
+    "verify_presentation": lambda g2, k: verify_presentation(
+        g2, k, g2_fusion_ideal_generators(2), primes=(2,)),
+    "module_element_expansion": lambda g2, k: module_element_expansion(g2, (0, 1), k, (1, 0)),
+    "TwistedModuleElement.label": lambda g2, k: TwistedModuleElement.label(
+        g2, (0, 1), k, (0, 0)),
 }
 
 
@@ -528,3 +546,18 @@ def test_level_checks_reject_a_non_integral_level(name):
     with pytest.raises(InputError, match="level must be nonnegative"):
         call(g2, -1)
     assert _check_level(_Index(3)) == 3
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_ENTRY_POINTS))
+def test_level_entry_points_run_at_the_checked_int(name):
+    # an integer-like level raised a bare TypeError at eleven of these and
+    # came back as the level of fusion_table, fold and verify_presentation;
+    # each now runs at the int the check returns.  A level kept as the
+    # object would write its repr, not 2, into the JSON
+    g2 = build_root_system("G2")
+    call = LEVEL_ENTRY_POINTS[name]
+
+    def text(result):
+        return json.dumps(to_json(result), sort_keys=True, default=repr)
+
+    assert text(call(g2, _Index(2))) == text(call(g2, 2))

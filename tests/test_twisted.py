@@ -6,7 +6,6 @@ import random
 import re
 from fractions import Fraction
 from math import gcd
-from operator import sub
 
 import pytest
 
@@ -706,41 +705,34 @@ VERTEX_LEVELS = [("A2", 3, 6), ("B2", 2, 4), ("G2", 4, 7)]
 
 @pytest.mark.parametrize("name, top, translated", VERTEX_LEVELS)
 def test_search_echelon_is_the_translated_level_echelon(name, top, translated):
-    # extract_presentation solves its lifts on the echelon _search_basis
-    # built at the base level; moved up by shift it must be the echelon of
-    # the level-k rows, row for row and tag for tag, and solve alike.  A
-    # label code is affine in the label, so moving a label by shift moves
-    # its code by key(shift) - key(0)
+    # extract_presentation solves its lifts with the solve of the vertex
+    # search, which walks each label minus shift on the echelon built at
+    # the base level; on every window label at level k it must give the
+    # combination of the untranslated level-k echelon, rebuilt here from
+    # the same candidates with the same tags
     rs = build_root_system(name)
     key = twisted._label_key(rs)
     n = rs.rank
-    zero = key((0,) * n)
     moved = 0
     for j in range(1, n + 1):
         vertex = face_subset(rs, [i for i in range(n + 1) if i != j])
         for k in range(top + 1):
             level_bound = k + 2 * rs.dual_coxeter
             lambda_bound = level_bound + rs.dual_coxeter + k
-            basis, ech, shift = twisted._search_basis(rs, vertex, k, (), level_bound,
-                                                      lambda_bound, tagged=True)
-            moved += any(shift)
+            basis, solve = twisted._search_basis(rs, vertex, k, (), level_bound,
+                                                 lambda_bound, tagged=True)
+            moved += k >= twist_order(rs, vertex)
             orbits = twisted._orbit_sums(rs, lambda_bound)
             rebuilt = ZEchelon()
             for idx, c in enumerate(basis):
                 for lam, vec in twisted._candidate_rows(rs, vertex, k, c, orbits, key):
                     rebuilt.insert(vec, {(idx, lam): 1})
-            delta = key(shift) - zero
-
-            def up(vec):
-                return {col + delta: v for col, v in vec.items()}
-
-            assert {col + delta: (up(vec), meta)
-                    for col, (vec, meta) in ech.rows.items()} == rebuilt.rows, (vertex, k)
+            orbit_of = dict(orbits)
             for mu in enumerate_labels(rs, vertex, k, level_bound):
-                assert key(tuple(map(sub, mu, shift))) + delta == key(mu)
-                residual, combo = ech.reduce({key(tuple(map(sub, mu, shift))): 1}, True)
-                assert (up(residual), combo) == rebuilt.reduce({key(mu): 1}, True), \
-                    (vertex, k, mu)
+                residual, combo = rebuilt.reduce({key(mu): 1}, want_combination=True)
+                assert not residual
+                assert solve(mu) == [(idx, orbit_of[lam], c)
+                                     for (idx, lam), c in combo.items()], (vertex, k, mu)
     assert moved == translated
 
 
