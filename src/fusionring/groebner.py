@@ -6,7 +6,7 @@ Only what the quotient-codimension checks need is implemented: reduced
 bases, normal forms, and standard-monomial counting for zero-dimensional
 ideals.
 
-Inside the engine a monomial x^e is stored as its key (-deg e, e_n, ..., e_1).
+The one monomial order is the key (-deg e, e_n, ..., e_1) of x^e.
 Ascending key order is descending grevlex order, and the key of a product
 is the componentwise sum of the keys, so each monomial's key is computed
 once, when its term enters the engine.  A reduction works in place on a
@@ -17,7 +17,9 @@ with the smallest lcm first, from a heap) and the Gebauer-Moeller update
 (Gebauer & Moeller, J. Symbolic Comput. 6, 1988): criteria M, F and B plus
 the product criterion.  Pairs are formed only with basis elements whose
 leading term no later element divides, and only that minimal basis is
-interreduced.
+interreduced.  The codimension depends only on the leading-term ideal,
+which the minimal basis generates, so it is counted from those leads
+without the interreduction.
 """
 from __future__ import annotations
 
@@ -30,10 +32,6 @@ from operator import add, le, neg, sub
 from .errors import InputError
 
 INFINITE = "infinite"  # codimension of a non-zero-dimensional quotient
-
-
-def grevlex_key(e):
-    return (sum(e), tuple(-x for x in reversed(e)))
 
 
 def check_prime(p):
@@ -51,11 +49,10 @@ def _inverse(c, modulus):
 class FieldPoly:
     """Polynomial with a fixed variable count over Q (modulus None) or F_p.
 
-    Instances are not mutated after construction; the leading term is
-    cached the first time it is asked for.
+    Instances are not mutated after construction.
     """
 
-    __slots__ = ("nvars", "modulus", "terms", "_lead")
+    __slots__ = ("nvars", "modulus", "terms")
 
     def __init__(self, nvars, terms=None, modulus=None):
         if modulus is not None:
@@ -72,17 +69,15 @@ class FieldPoly:
             if c:
                 clean[tuple(e)] = c
         self.terms = clean
-        self._lead = None
 
     @classmethod
-    def _derived(cls, nvars, terms, modulus, lead=None):
+    def _derived(cls, nvars, terms, modulus):
         """Wrap terms that are already clean: exponent tuples of length nvars
         mapped to nonzero coefficients of the field's type.  No checks."""
         poly = object.__new__(cls)
         poly.nvars = nvars
         poly.modulus = modulus
         poly.terms = terms
-        poly._lead = lead
         return poly
 
     def _coerce(self, c):
@@ -94,18 +89,16 @@ class FieldPoly:
         return not self.terms
 
     def leading(self):
-        if self._lead is None:
-            e = max(self.terms, key=grevlex_key)
-            self._lead = (e, self.terms[e])
-        return self._lead
+        """(exponent, coefficient) of the grevlex-largest term: the smallest key."""
+        e = min(self.terms, key=_key)
+        return e, self.terms[e]
 
     def monic(self):
         if not self.terms:
             return self
-        e, lc = self.leading()
-        inv, p = _inverse(lc, self.modulus), self.modulus
+        inv, p = _inverse(self.leading()[1], self.modulus), self.modulus
         terms = {f: c * inv if p is None else c * inv % p for f, c in self.terms.items()}
-        return FieldPoly._derived(self.nvars, terms, p, (e, terms[e]))
+        return FieldPoly._derived(self.nvars, terms, p)
 
     def __eq__(self, other):
         return (isinstance(other, FieldPoly) and self.modulus == other.modulus
@@ -117,10 +110,6 @@ class FieldPoly:
     def __repr__(self):
         tag = "Q" if self.modulus is None else f"F{self.modulus}"
         return f"FieldPoly[{tag}]({self.terms})"
-
-
-def _divides(e, f):
-    return all(a <= b for a, b in zip(e, f))
 
 
 # -- the engine: monomials as keys, basis elements as (lead, lead[1:], tail) --
@@ -242,10 +231,8 @@ def _update(elements, active, pairs, h):
 
 
 def _to_poly(items, nvars, modulus):
-    """FieldPoly of (key, coefficient) pairs in descending monomial order."""
-    terms = {_exponent(k): c for k, c in items}
-    lead = (_exponent(items[0][0]), items[0][1]) if items else None
-    return FieldPoly._derived(nvars, terms, modulus, lead)
+    """FieldPoly of (key, coefficient) pairs."""
+    return FieldPoly._derived(nvars, {_exponent(k): c for k, c in items}, modulus)
 
 
 def _check_ring(polys, nvars, modulus, message):
@@ -262,18 +249,21 @@ def normal_form(p: FieldPoly, basis) -> FieldPoly:
     elements = []
     for g in basis:
         if not g.is_zero():
-            e, lc = g.leading()
-            tail = [(_key(f), c) for f, c in g.terms.items() if f != e]
-            elements.append(_element(_key(e), lc, tail, p.modulus))
+            keyed = {_key(f): c for f, c in g.terms.items()}
+            lead = min(keyed)
+            lc = keyed.pop(lead)
+            elements.append(_element(lead, lc, list(keyed.items()), p.modulus))
     rem = _reduce({_key(e): c for e, c in p.terms.items()}, elements, p.modulus)
     return _to_poly(rem, p.nvars, p.modulus)
 
 
-def buchberger(gens) -> list:
-    """Reduced Groebner basis of the ideal generated by gens."""
+def _minimal_basis(gens):
+    """(elements, nvars, modulus): the minimal Groebner basis of the ideal
+    generated by gens, its elements in descending key order (smallest lead
+    first) with unreduced tails; no elements for the zero ideal."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        return []
+        return [], None, None
     nvars, modulus = gens[0].nvars, gens[0].modulus
     _check_ring(gens, nvars, modulus, "generators live in different polynomial rings")
     elements, active, pairs = [], [], []
@@ -291,8 +281,13 @@ def buchberger(gens) -> list:
         _, i, j, lcm = heappop(pairs)
         add_remainder(_reduce(_s_poly(elements[i], elements[j], lcm, modulus),
                               [elements[a] for a in active], modulus))
-    # interreduce the minimal basis: leading terms stay, tails are reduced
-    minimal = sorted((elements[a] for a in active), reverse=True)
+    return sorted((elements[a] for a in active), reverse=True), nvars, modulus
+
+
+def buchberger(gens) -> list:
+    """Reduced Groebner basis of the ideal generated by gens, smallest lead
+    first: the minimal basis with its tails interreduced."""
+    minimal, nvars, modulus = _minimal_basis(gens)
     one = 1 if modulus is not None else Fraction(1)
     return [_to_poly([(lead, one)] + _reduce(dict(tail), minimal, modulus), nvars, modulus)
             for lead, _, tail in minimal]
@@ -301,25 +296,20 @@ def buchberger(gens) -> list:
 def quotient_codimension(gens):
     """Number of standard monomials of the quotient, or INFINITE.
 
-    Exact count of monomials outside the leading-term ideal; finite exactly
-    when every variable has a pure power among the leading terms.
+    Exact count of monomials outside the leading-term ideal, read from the
+    leads of the minimal basis; finite exactly when every variable has a
+    pure power among them.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    minimal, nvars, _ = _minimal_basis(gens)
+    if not minimal:
         return INFINITE
-    nvars = gens[0].nvars
-    basis = buchberger(gens)
-    leads = [g.leading()[0] for g in basis]
-    if any(sum(e) == 0 for e in leads):
-        return 0  # unit ideal
+    leads = [_exponent(lead) for lead, _, _ in minimal]
     degree_cap = []
     for v in range(nvars):
         pures = [e[v] for e in leads if sum(e) == e[v]]
         if not pures:
             return INFINITE
         degree_cap.append(min(pures))
-    count = 0
-    for mono in product(*(range(c) for c in degree_cap)):
-        if not any(_divides(e, mono) for e in leads):
-            count += 1
-    return count
+    # the unit ideal has the lead 1, which caps every variable at 0
+    return sum(not any(all(map(le, e, mono)) for e in leads)
+               for mono in product(*map(range, degree_cap)))

@@ -42,9 +42,6 @@ class PolyChar(Sparse):
     _key = "exponents"
     _negative = "exponent vector {} has a negative entry"
 
-    def __init__(self, poly=None):
-        super().__init__(poly)
-
 
 def dim_virtual(rs: RootSystem, x: VirtualCharacter) -> int:
     return sum(c * weyl_dimension(rs, w) for w, c in x.terms.items())

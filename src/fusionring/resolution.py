@@ -133,9 +133,11 @@ def d_squared_check(rs: RootSystem, k: int, level_bound: int | None = None) -> D
         first = _cofaces(rs, face, k)
         for target, _, _ in first:
             if target not in second:
-                second[target] = [
-                    (dest, tables.setdefault(dest, _WalkTable(kernel.walk, zero)), sign)
-                    for dest, kernel, sign in _cofaces(rs, target, k)]
+                second[target] = []
+                for dest, kernel, sign in _cofaces(rs, target, k):
+                    if dest not in tables:
+                        tables[dest] = _WalkTable(kernel.walk, zero)
+                    second[target].append((dest, tables[dest], sign))
         # the two paths into the m-th vertex face write slots 2m and 2m + 1,
         # the second negated, so the paths cancel when the slots are equal
         slot = {}
@@ -317,6 +319,7 @@ def extract_presentation(rs: RootSystem, k: int,
 
 def g2_fusion_ideal_generators(k: int) -> list:
     """The four level-k fusion-ideal generators for G2, by level parity."""
+    k = _check_level(k)
     if k <= 0:
         raise InputError("the generator list requires a positive level")
     irr = VirtualCharacter.irrep
@@ -374,23 +377,13 @@ def verify_presentation(rs: RootSystem, k: int, gens,
     k = _check_level(k)
     membership = [in_fusion_ideal(rs, g, k) for g in gens]
     alcove_count = len(alcove_weights(rs, k))
-    codim_q = None
-    codim_fp = {}
-    verdict = "pass"
-    if not all(membership):
-        verdict = "fail"
-    else:
+    codims = {}     # Q under the key None, then each prime
+    if all(membership):
         polys = [to_polynomial(rs, g).terms for g in gens]
-        q_gens = [FieldPoly(rs.rank, p, None) for p in polys]
-        codim_q = quotient_codimension(q_gens)
-        if codim_q != alcove_count:
-            verdict = "fail"
-        for p in primes:
-            fp = quotient_codimension([FieldPoly(rs.rank, poly, p) for poly in polys])
-            codim_fp[p] = fp
-            if fp != alcove_count:
-                verdict = "fail"
+        for p in (None, *primes):
+            codims[p] = quotient_codimension([FieldPoly(rs.rank, poly, p) for poly in polys])
+    passed = all(membership) and all(c == alcove_count for c in codims.values())
     return PresentationReport(group=str(rs.lie_type), level=k, generators=gens,
-                              membership=membership, codim_q=codim_q,
-                              codim_fp=codim_fp, alcove_count=alcove_count,
-                              primes=primes, verdict=verdict)
+                              membership=membership, codim_q=codims.pop(None, None),
+                              codim_fp=codims, alcove_count=alcove_count,
+                              primes=primes, verdict="pass" if passed else "fail")

@@ -592,19 +592,37 @@ def rho_walk(rs: RootSystem, level2=None) -> ChamberWalk:
 def alcove_weights(rs: RootSystem, k: int) -> list:
     """Dominant weights of level at most k, in lexicographic order."""
     k = _check_level(k)
+    return sorted(_lattice_points(rs.comarks[1:], [0] * rs.rank, k, range(k + 1)))
+
+
+def _lattice_points(comarks, low, bound, levels) -> list:
+    """Integer points x with low[i] <= x[i] <= bound whose level
+    comarks . x lies in levels, by level, then lexicographically.
+
+    Each level is filled coordinate by coordinate, in ranges cut by the
+    bounds and the levels later coordinates can reach; the level fixes the
+    last coordinate.
+    """
+    n = len(comarks)
+    least = [sum(map(mul, comarks[j:], low[j:])) for j in range(n)]
+    most = [bound * sum(comarks[j:]) for j in range(n)]
     out = []
-    comarks = rs.comarks[1:]
 
-    def rec(prefix, budget):
-        if len(prefix) == rs.rank:
-            out.append(tuple(prefix))
+    def fill(prefix, rest):
+        j = len(prefix)
+        if j == n - 1:
+            x, r = divmod(rest, comarks[j])
+            if not r and low[j] <= x <= bound:
+                out.append((*prefix, x))
             return
-        c = comarks[len(prefix)]
-        for v in range(budget // c + 1):
-            rec(prefix + [v], budget - c * v)
+        c = comarks[j]
+        for x in range(max(low[j], (rest - most[j + 1] + c - 1) // c),
+                       min(bound, (rest - least[j + 1]) // c) + 1):
+            fill((*prefix, x), rest - c * x)
 
-    rec([], k)
-    return sorted(out)
+    for lev in levels:
+        fill((), lev)
+    return out
 
 
 @lru_cache(maxsize=None)

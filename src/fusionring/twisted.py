@@ -21,10 +21,10 @@ from operator import add, mul, sub
 from .errors import InputError, InternalLimitError
 from .intlinalg import ZEchelon
 from .repring import VirtualCharacter
-from .rootdata import (RootSystem, _check_level, _check_weight, _integer_form, _node_root,
-                       alcove_weights, chamber_walk, connected_type, full_weights,
-                       reflection_orbit, subsystem_positive_roots, weyl_orbit,
-                       weyl_order_of_type)
+from .rootdata import (RootSystem, _check_level, _check_weight, _integer_form,
+                       _lattice_points, _node_root, alcove_weights, chamber_walk,
+                       connected_type, full_weights, reflection_orbit,
+                       subsystem_positive_roots, weyl_orbit, weyl_order_of_type)
 from .sparse import Report, Sparse, addmul
 
 
@@ -198,9 +198,7 @@ def enumerate_labels(rs: RootSystem, subset, k: int, bound: int) -> list:
     Coordinates are capped at the bound.  Faces containing the affine node
     have labels bounded above in level, so the window keeps the slab of
     depth bound below the top; for the other faces the window is the
-    symmetric level band.  Each level is filled coordinate by coordinate,
-    in ranges cut by the walls and the levels later coordinates can reach;
-    the level fixes the last coordinate.
+    symmetric level band.  The walls give each coordinate its lower end.
     """
     subset = face_subset(rs, subset)
     k = _check_level(k)
@@ -210,25 +208,7 @@ def enumerate_labels(rs: RootSystem, subset, k: int, bound: int) -> list:
         lo, hi = k - bound, min(k, (2 * k - rs.level(r2) - 1) // 2)
     # strictly inside the linear walls: 2 mu_i + r2_i > 0
     low = [max(-bound, -r2[i] // 2 + 1) if i + 1 in subset else -bound for i in range(n)]
-    least = [sum(map(mul, comarks[j:], low[j:])) for j in range(n)]
-    most = [bound * sum(comarks[j:]) for j in range(n)]
-    out = []
-
-    def fill(prefix, rest):
-        j = len(prefix)
-        if j == n - 1:
-            x, r = divmod(rest, comarks[j])
-            if not r and low[j] <= x <= bound:
-                out.append((*prefix, x))
-            return
-        c = comarks[j]
-        for x in range(max(low[j], (rest - most[j + 1] + c - 1) // c),
-                       min(bound, (rest - least[j + 1]) // c) + 1):
-            fill((*prefix, x), rest - c * x)
-
-    for lev in range(lo, hi + 1):
-        fill((), lev)
-    return out
+    return _lattice_points(comarks, low, bound, range(lo, hi + 1))
 
 
 class TwistedModuleElement(Sparse):

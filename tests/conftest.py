@@ -40,6 +40,14 @@ def random_character(rs, rng: random.Random, level: int = 3, terms: int = 3,
     return VirtualCharacter(out)
 
 
+def grevlex_key(e):
+    """Sort key of the graded reverse lexicographic order on exponent
+    vectors, written apart from the Groebner engine's own order: a larger
+    total degree is larger, and a tie goes to the vector with the smaller
+    last differing exponent."""
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
 # Laurent polynomials in the weight-lattice group ring, as {exponent: coeff}
 
 def laurent_add(a: dict, b: dict) -> dict:

@@ -5,7 +5,9 @@ from itertools import product
 import pytest
 
 from fusionring import FieldPoly, buchberger, normal_form, quotient_codimension
-from fusionring.groebner import INFINITE, grevlex_key
+from fusionring.groebner import INFINITE
+
+from conftest import grevlex_key
 
 
 def poly2(terms, modulus=None):
@@ -45,9 +47,18 @@ def test_not_zero_dimensional():
 
 
 def test_grevlex_order():
-    assert grevlex_key((2, 0)) > grevlex_key((1, 1)) > grevlex_key((0, 2))
-    assert grevlex_key((1, 0)) > grevlex_key((0, 1))
-    assert grevlex_key((0, 2)) > grevlex_key((1, 0))
+    def lead(*monomials):
+        return poly2(dict.fromkeys(monomials, 1)).leading()[0]
+
+    assert lead((1, 1), (2, 0), (0, 2)) == (2, 0) and lead((0, 2), (1, 1)) == (1, 1)
+    assert lead((0, 1), (1, 0)) == (1, 0)
+    assert lead((1, 0), (0, 2)) == (0, 2)
+    # and on random polynomials in three variables, against the test-side key
+    rng = random.Random(3)
+    for _ in range(50):
+        p = FieldPoly(3, {tuple(rng.randint(0, 3) for _ in range(3)): rng.randint(1, 3)
+                          for _ in range(rng.randint(1, 5))})
+        assert p.leading()[0] == max(p.terms, key=grevlex_key)
 
 
 def test_normal_form_idempotent_linear():

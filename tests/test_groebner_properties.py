@@ -1,7 +1,10 @@
 """Property tests of normal forms and reduced bases, drawn by hypothesis."""
 import pytest
 
-from fusionring import FieldPoly, buchberger, normal_form
+from itertools import product
+
+from fusionring import FieldPoly, buchberger, normal_form, quotient_codimension
+from fusionring.groebner import INFINITE
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -76,3 +79,27 @@ def test_ideal_members_leave_basis_unchanged(ideal, shift, c):
                       -1, _times(g, tuple(a - b for a, b in zip(lcm, eg)), cf))
     assert buchberger(gens + [s_poly]) == gb
     assert buchberger([_times(g, shift, c)] + gens) == gb
+
+
+def _standard_monomials(basis):
+    """Monomials that no leading term of basis divides, counted below the
+    smallest pure power of each variable among those leads, or INFINITE
+    when a variable has none: the count read from the reduced basis."""
+    leads = [g.leading()[0] for g in basis]
+    caps = []
+    for v in range(2):
+        pures = [e[v] for e in leads if sum(e) == e[v]]
+        if not pures:
+            return INFINITE
+        caps.append(min(pures))
+    return sum(1 for m in product(*map(range, caps))
+               if not any(all(a <= b for a, b in zip(e, m)) for e in leads))
+
+
+@SMALL
+@hypothesis.given(ideals())
+def test_codimension_counts_the_reduced_basis_leads(ideal):
+    # the count from the minimal basis's leads against the same count on
+    # the interreduced basis, whose leads are the same monomials
+    _, gens = ideal
+    assert quotient_codimension(gens) == _standard_monomials(buchberger(gens))

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from fusionring import FieldPoly, buchberger
-from fusionring.groebner import grevlex_key
 from fusionring.repring import to_polynomial
 from fusionring.resolution import g2_fusion_ideal_generators
+
+from conftest import grevlex_key
 
 sympy = pytest.importorskip("sympy")
 

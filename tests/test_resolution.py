@@ -268,6 +268,21 @@ def test_complex_checks_walk_each_second_image_once(g2, monkeypatch):
     assert sum(walks.values()) == G2_LEVEL_TWO_COKERNEL_WALKS
 
 
+def test_d_squared_builds_one_walk_table_per_vertex_face(g2, monkeypatch):
+    # each vertex face is reached from two edge faces; a table built for
+    # every (edge, vertex) pair and then dropped made 6 tables for 3
+    built = []
+    walk_table = resolution._WalkTable
+
+    def counted(*args):
+        built.append(args)
+        return walk_table(*args)
+
+    monkeypatch.setattr(resolution, "_WalkTable", counted)
+    assert d_squared_check(g2, 2).passed
+    assert len(built) == 3
+
+
 def test_complex_checks_reject_a_negative_level(a2):
     with pytest.raises(InputError, match="level must be nonnegative"):
         d_squared_check(a2, -1)

@@ -294,6 +294,22 @@ def test_alcove_weights(g2, a1):
         alcove_weights(g2, -1)
 
 
+# comarks of the nonaffine nodes, from the tables of Kac's book
+ALCOVE_COMARKS = {"A1": (1,), "A2": (1, 1), "A3": (1, 1, 1), "B2": (1, 1), "C2": (1, 1),
+                  "G2": (1, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(ALCOVE_COMARKS))
+def test_alcove_weights_match_a_box_filter(name):
+    # the lattice-point filler against every point of the box [0, k]^n,
+    # which itertools.product yields in lexicographic order
+    rs = build_root_system(name)
+    comarks = ALCOVE_COMARKS[name]
+    for k in range(5):
+        box = itertools.product(range(k + 1), repeat=rs.rank)
+        assert alcove_weights(rs, k) == [w for w in box if sum(map(mul, comarks, w)) <= k]
+
+
 def test_weight_multiplicity_examples(g2, a1):
     assert weight_multiplicity(g2, (1, 0), (1, 0)) == 1
     # adjoint zero weight: dimension minus the twelve roots
@@ -526,6 +542,7 @@ LEVEL_ENTRY_POINTS = {
         g2, (0, 2), k, find_module_basis(g2, (0, 2), 2)),
     "enumerate_labels": lambda g2, k: enumerate_labels(g2, (0, 2), k, 3),
     "fold": lambda g2, k: fold(g2, VirtualCharacter.irrep((2, 1)), k),
+    "g2_fusion_ideal_generators": lambda g2, k: g2_fusion_ideal_generators(k),
     "verify_presentation": lambda g2, k: verify_presentation(
         g2, k, g2_fusion_ideal_generators(2), primes=(2,)),
     "module_element_expansion": lambda g2, k: module_element_expansion(g2, (0, 1), k, (1, 0)),
