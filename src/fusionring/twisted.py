@@ -472,9 +472,10 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, *, tagged):
     and keeps the column order, so these are the level-k rows translated.
     Tagged, the row of m(lam) times basis[i] carries {(i, lam): 1}, and
     solve(mu) writes d1(mu), the signed walk of mu at level k (of mu - shift
-    at k0), as the triples (i, m(lam), c) of sum c m(lam) * basis[i].  Tags
-    follow every row operation and would outweigh the sparse rows, so only
-    a caller that reads solutions asks for them; untagged, solve is None."""
+    at k0), as the triples (i, m(lam), c) of sum c m(lam) * basis[i], by
+    running the echelon's row-operation log backwards to the tags.  Only a
+    tagged echelon keeps that log, so only a caller that reads solutions
+    asks for tags; untagged, the echelon logs nothing and solve is None."""
     k = _check_level(k)
     d = twist_order(rs, subset) if 0 in subset else 0
     k0 = k % d if d else k

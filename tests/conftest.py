@@ -65,6 +65,67 @@ def laurent_mul(a: dict, b: dict) -> dict:
     return out
 
 
+class ReferenceEchelon:
+    """The integer echelon of intlinalg.ZEchelon with each row's tag vector
+    carried forward through every row operation: the slow path its
+    backward pass over the row-operation log is checked against.  Each
+    stored meta is its row as a combination of the inserted tags."""
+
+    def __init__(self):
+        self.rows = {}  # pivot column -> (vector, meta)
+
+    def insert(self, vec, meta=None) -> bool:
+        vec = {k: v for k, v in vec.items() if v}
+        meta = dict(meta or {})
+        while vec:
+            col = max(vec)
+            if col not in self.rows:
+                if vec[col] < 0:
+                    vec = {k: -v for k, v in vec.items()}
+                    meta = {k: -v for k, v in meta.items()}
+                self.rows[col] = (vec, meta)
+                return True
+            pvec, pmeta = self.rows[col]
+            q = vec[col] // pvec[col]
+            addmul(vec, pvec, -q)
+            addmul(meta, pmeta, -q)
+            if col in vec:
+                if vec[col] < 0:
+                    vec = {k: -v for k, v in vec.items()}
+                    meta = {k: -v for k, v in meta.items()}
+                self._reduce_tail(vec, meta, col)
+                self.rows[col] = (vec, meta)
+                vec, meta = pvec, pmeta
+        return False
+
+    def _reduce_tail(self, vec, meta, col):
+        rows = self.rows
+        while True:
+            col = max((c for c in vec if c < col and c in rows), default=None)
+            if col is None:
+                return
+            pvec, pmeta = rows[col]
+            q = vec[col] // pvec[col]
+            if q:
+                addmul(vec, pvec, -q)
+                addmul(meta, pmeta, -q)
+
+    def reduce(self, vec):
+        """(residual, combination): vec = residual + the rows' metas
+        weighted by the reduction."""
+        vec = {k: v for k, v in vec.items() if v}
+        combo = {}
+        while vec:
+            col = max(vec)
+            row = self.rows.get(col)
+            if row is None or vec[col] % row[0][col] != 0:
+                break
+            q = vec[col] // row[0][col]
+            addmul(vec, row[0], -q)
+            addmul(combo, row[1], q)
+        return vec, combo
+
+
 def reference_walk(rs, walls, shift2, level2):
     """The interpreted walk of rootdata.chamber_walk(rs, walls, shift2,
     level2): the slow path its generated kernels are checked against, with

@@ -296,6 +296,20 @@ def test_label_codes_and_translation_stay_in_twisted():
     assert {name for _, name in found} == private | {"reduce"}
 
 
+def test_the_row_operation_log_stays_in_intlinalg():
+    # a stored row names a node of its echelon's row-operation log, and
+    # only the echelon runs that log: no other module reads an echelon's
+    # rows (and so their nodes), log or tags
+    private = {"rows", "log", "tags", "_node", "_combination"}
+    found = set()
+    for path in sorted(Path(fusionring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.add((path.stem, node.attr))
+    assert {stem for stem, _ in found} == {"intlinalg"}
+    assert {name for _, name in found} == private
+
+
 def test_composite_primes_exit_two(capsys):
     for primes in ("4", "2,9", "2147483659"):
         code, _, err = run(capsys, ["verify-g2", "--level", "1", "--primes", primes])

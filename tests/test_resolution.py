@@ -529,9 +529,12 @@ def test_extract_builds_each_candidate_once(name, k, builds, monkeypatch):
 # (level, label) tuple keys, so the elimination and these counts are
 # those of the tuple keys.  The orbit-sum rows span the lattice of the
 # irrep rows, so the insert counts are those of the irrep rows; the
-# counts include the tail reductions of swapped rows.
-ECHELON_WORK = [("G2", 1, (1088, 0, 55441)), ("B2", 2, (1155, 0, 18250)),
-                ("A2", 3, (1088, 0, 9241))]
+# counts include the tail reductions of swapped rows.  Tags cost no row
+# operation: a row operation is one addmul on the row, and a solve adds
+# one addmul per inserted row its backward pass over the log reaches
+# with a nonzero weight.
+ECHELON_WORK = [("G2", 1, (1088, 0, 31814)), ("B2", 2, (1155, 0, 11186)),
+                ("A2", 3, (1088, 0, 6099))]
 
 
 @pytest.mark.parametrize("name, k, work", ECHELON_WORK)

@@ -749,6 +749,39 @@ def test_certification_leaves_the_echelon_as_it_is(g2):
         assert ech.rows == snapshot
 
 
+def test_only_a_tagged_search_keeps_a_log(g2, monkeypatch):
+    # untagged rows add nothing to a combination, so the echelon that
+    # verify_module_basis rebuilds and an untagged search log no row
+    # operation; a tagged vertex search logs the ones its solves run back
+    made = []
+
+    class Recorded(ZEchelon):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(twisted, "ZEchelon", Recorded)
+    subset = (0, 2)
+    basis = find_module_basis(g2, subset, 1)
+    assert verify_module_basis(g2, subset, 1, basis).passed
+    assert len(made) == 2
+    assert all(not ech.log and not ech.tags for ech in made)
+    made.clear()
+    twisted._search_basis(g2, subset, 1, (), None, None, tagged=True)
+    assert len(made) == 1 and made[0].log and made[0].tags
+
+
+def test_solve_outside_the_certified_lattice_names_lambda_bound(g2):
+    # (30, 0) walks to a chamber label far above the window, which no
+    # product row of the search reaches
+    _, solve = twisted._search_basis(g2, (0, 2), 1, (), None, None, tagged=True)
+    with pytest.raises(InternalLimitError) as info:
+        solve((30, 0))
+    message = str(info.value)
+    assert message.startswith("cannot express d1((30, 0)) over the vertex basis")
+    assert "raise lambda_bound" in message and "lambda_bound=12" in message
+
+
 LABEL_WINDOWS = [("A2", range(3)), ("B2", range(3)), ("G2", range(3)), ("A3", (1,))]
 # the windows above and more groups and levels
 LABEL_BOXES = LABEL_WINDOWS + [("A1", range(4)), ("C2", range(3)), ("G2", (3,)),
