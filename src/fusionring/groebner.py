@@ -6,11 +6,16 @@ Only what the quotient-codimension checks need is implemented: reduced
 bases, normal forms, and standard-monomial counting for zero-dimensional
 ideals.
 
-The one monomial order is the key (-deg e, e_n, ..., e_1) of x^e.
-Ascending key order is descending grevlex order, and the key of a product
-is the componentwise sum of the keys, so each monomial's key is computed
-once, when its term enters the engine.  A reduction works in place on a
-dict of the remaining terms and a heap of their keys, with lazy deletion.
+The one monomial order is the key of x^e: one int holding e_n, ..., e_1
+in 16-bit fields, e_1 lowest, below -deg e, so that int order is the
+order of the tuple (-deg e, e_n, ..., e_1) (Monagan & Pearce, J. Symbolic
+Comput. 46, 2011).  Ascending key order is descending grevlex order, and
+the key is linear in e: the key of a product is the sum of the keys, and
+x^a divides x^b exactly when b - a sets no field's guard bit.  Each monomial's key is computed once, when
+its term enters the engine, and a monomial whose degree reaches 2**15
+raises InputError there.  A reduction works in place on a dict of the
+remaining terms and a heap of their keys; over F_p a coefficient is
+reduced once, when its term leaves the heap, and skipped if it is zero.
 
 Buchberger's algorithm uses the normal selection strategy (the S-pair
 with the smallest lcm first, from a heap) and the Gebauer-Moeller update
@@ -27,7 +32,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import isqrt
-from operator import add, le, neg, sub
+from operator import le
 
 from .errors import InputError
 
@@ -63,8 +68,8 @@ class FieldPoly:
         for e, c in dict(terms or {}).items():
             if len(e) != nvars:
                 raise InputError("exponent vector length mismatch")
-            if min(e, default=0) < 0:
-                raise InputError(f"exponent vector {tuple(e)} has a negative entry")
+            if not all(isinstance(x, int) and x >= 0 for x in e):
+                raise InputError(f"exponent vector {tuple(e)} has an entry that is not natural")
             c = self._coerce(c)
             if c:
                 clean[tuple(e)] = c
@@ -90,7 +95,7 @@ class FieldPoly:
 
     def leading(self):
         """(exponent, coefficient) of the grevlex-largest term: the smallest key."""
-        e = min(self.terms, key=_key)
+        e = min(self.terms, key=_pack)
         return e, self.terms[e]
 
     def monic(self):
@@ -112,43 +117,62 @@ class FieldPoly:
         return f"FieldPoly[{tag}]({self.terms})"
 
 
-# -- the engine: monomials as keys, basis elements as (lead, lead[1:], tail) --
+# -- the engine: monomials as packed keys, basis elements as (lead, exponent, tail) --
 
-def _key(e):
-    return (-sum(e),) + tuple(reversed(e))
-
-
-def _exponent(key):
-    return key[:0:-1]
+_FIELD = 16                          # bits per exponent field, guard bit included
+_DEGREE_LIMIT = 1 << (_FIELD - 1)    # the guard bit of one field
 
 
-def _key_divides(a, b):
-    # the degree comparison is implied by the rest; it rejects cheaply
-    return a[0] >= b[0] and all(map(le, a[1:], b[1:]))
+def _pack(e):
+    """The key of x^e: e_1..e_n in _FIELD-bit fields, e_1 lowest, minus
+    deg e above them.  The one guard of the fields: a degree at the limit
+    raises InputError, and no exponent of the engine exceeds the degree of
+    a monomial that passed it."""
+    key = -sum(e)
+    if key <= -_DEGREE_LIMIT:
+        raise InputError(f"monomial {tuple(e)} overflows the {_FIELD}-bit exponent fields")
+    for x in reversed(e):
+        key = (key << _FIELD) + x
+    return key
+
+
+def _unpack(key, nvars):
+    return tuple(key >> (_FIELD * v) & (_DEGREE_LIMIT - 1) for v in range(nvars))
+
+
+def _guard(nvars):
+    """The guard bits of nvars fields (see _key_divides)."""
+    return sum(_DEGREE_LIMIT << (_FIELD * v) for v in range(nvars))
+
+
+def _key_divides(a, b, guard):
+    # b - a borrows into a guard bit exactly when some exponent of a is larger
+    return not (b - a) & guard
 
 
 def _key_lcm(a, b):
-    e = tuple(map(max, a[1:], b[1:]))
-    return (-sum(e),) + e
+    # from the exponent vectors: unpacking keys here costs more than the lcm
+    return _pack(tuple(map(max, a, b)))
 
 
-def _element(lead, lc, tail, modulus):
-    """A basis element: lead key, lead key without its degree (for the
-    divisibility test), and the tail scaled by 1/lc."""
+def _element(lead, lc, tail, modulus, nvars):
+    """A basis element: lead key, lead exponent (for lcms), and the tail
+    scaled by 1/lc."""
     if lc != 1:
         inv = _inverse(lc, modulus)
         if modulus is None:
             tail = [(t, c * inv) for t, c in tail]
         else:
             tail = [(t, c * inv % modulus) for t, c in tail]
-    return lead, lead[1:], tail
+    return lead, _unpack(lead, nvars), tail
 
 
-def _reduce(terms, elements, modulus):
+def _reduce(terms, elements, modulus, guard):
     """Fully reduce terms (a key -> coefficient dict, consumed) by elements.
 
     Each step divides by the first element whose lead divides the largest
-    remaining term.  Returns the remainder as (key, coefficient) pairs in
+    remaining term.  Over F_p a coefficient is reduced once, when its term
+    is popped.  Returns the remainder as (key, coefficient) pairs in
     descending monomial order.
     """
     heap = list(terms)
@@ -156,83 +180,74 @@ def _reduce(terms, elements, modulus):
     rem = []
     while heap:
         m = heappop(heap)
-        c = terms.pop(m, None)
-        if c is None:
-            continue  # cancelled earlier, or a duplicate heap entry
-        m0, m1 = m[0], m[1:]
-        for lead, lead1, tail in elements:
-            if lead[0] >= m0 and all(map(le, lead1, m1)):
-                shift = tuple(map(sub, m, lead))
+        c = terms.pop(m)
+        if modulus is not None:
+            c %= modulus
+        if not c:
+            continue  # cancelled, or 0 mod p
+        for lead, _, tail in elements:
+            shift = m - lead
+            if not shift & guard:
                 for t, gc in tail:
-                    t = tuple(map(add, t, shift))
+                    t += shift
                     old = terms.get(t)
                     if old is None:
-                        terms[t] = -c * gc if modulus is None else -c * gc % modulus
+                        terms[t] = -c * gc
                         heappush(heap, t)
                     else:
-                        v = old - c * gc
-                        if modulus is not None:
-                            v %= modulus
-                        if v:
-                            terms[t] = v
-                        else:
-                            del terms[t]
+                        terms[t] = old - c * gc
                 break
         else:
             rem.append((m, c))
     return rem
 
 
-def _s_poly(f, g, lcm, modulus):
-    """Terms of x^(lcm - lead f) f - x^(lcm - lead g) g for elements f, g."""
-    shift = tuple(map(sub, lcm, f[0]))
-    terms = {tuple(map(add, t, shift)): c for t, c in f[2]}
-    shift = tuple(map(sub, lcm, g[0]))
+def _s_poly(f, g, lcm):
+    """Terms of x^(lcm - lead f) f - x^(lcm - lead g) g for elements f, g,
+    left unreduced for _reduce."""
+    shift = lcm - f[0]
+    terms = {t + shift: c for t, c in f[2]}
+    shift = lcm - g[0]
     for t, c in g[2]:
-        t = tuple(map(add, t, shift))
-        v = terms.get(t, 0) - c
-        if modulus is not None:
-            v %= modulus
-        if v:
-            terms[t] = v
-        else:
-            terms.pop(t, None)
+        t += shift
+        terms[t] = terms.get(t, 0) - c
     return terms
 
 
-def _update(elements, active, pairs, h):
+def _update(elements, active, pairs, h, guard):
     """Add element h to the basis under the Gebauer-Moeller criteria.
 
     elements lists every element found so far, active indexes the minimal
-    basis and pairs is the heap of (grevlex lcm, i, j, lcm key) S-pairs.
+    basis and pairs is the heap of (-lcm key, i, j) S-pairs: smallest lcm
+    first.
     """
     n = len(elements)
     elements.append(h)
-    lh = h[0]
-    new = [(_key_lcm(lh, elements[g][0]), g) for g in active]
+    lh, eh, _ = h
+    new = [(_key_lcm(eh, elements[g][1]), g) for g in active]
     kept = []
     for idx, (m, g) in enumerate(new):
-        coprime = m[0] == lh[0] + elements[g][0][0]
+        coprime = m == lh + elements[g][0]
         # criteria M and F: a new pair whose lcm is a multiple of another new
         # pair's lcm is dropped; of pairs with equal lcms one is kept
-        if coprime or not (any(_key_divides(k[0], m) for k in kept)
-                           or any(_key_divides(k[0], m) for k in new[idx + 1:])):
+        if coprime or not (any(_key_divides(k[0], m, guard) for k in kept)
+                           or any(_key_divides(k[0], m, guard) for k in new[idx + 1:])):
             kept.append((m, g, coprime))
     # criterion B: lead(h) divides the lcm of an old pair (i, j) strictly
     # inside both lcm(i, h) and lcm(h, j)
     pairs[:] = [p for p in pairs
-                if not (_key_divides(lh, p[3])
-                        and _key_lcm(elements[p[1]][0], lh) != p[3]
-                        and _key_lcm(lh, elements[p[2]][0]) != p[3])]
+                if not (_key_divides(lh, -p[0], guard)
+                        and _key_lcm(elements[p[1]][1], eh) != -p[0]
+                        and _key_lcm(eh, elements[p[2]][1]) != -p[0])]
     # product criterion: coprime leads reduce to zero
-    pairs.extend((tuple(map(neg, m)), g, n, m) for m, g, coprime in kept if not coprime)
+    pairs.extend((-m, g, n) for m, g, coprime in kept if not coprime)
     heapify(pairs)
-    active[:] = [g for g in active if not _key_divides(lh, elements[g][0])] + [n]
+    active[:] = [g for g in active if not _key_divides(lh, elements[g][0], guard)] + [n]
 
 
 def _to_poly(items, nvars, modulus):
     """FieldPoly of (key, coefficient) pairs."""
-    return FieldPoly._derived(nvars, {_exponent(k): c for k, c in items}, modulus)
+    return FieldPoly._derived(nvars, {_unpack(k, nvars): c for k, c in items}, modulus)
 
 
 def _check_ring(polys, nvars, modulus, message):
@@ -249,11 +264,12 @@ def normal_form(p: FieldPoly, basis) -> FieldPoly:
     elements = []
     for g in basis:
         if not g.is_zero():
-            keyed = {_key(f): c for f, c in g.terms.items()}
+            keyed = {_pack(f): c for f, c in g.terms.items()}
             lead = min(keyed)
             lc = keyed.pop(lead)
-            elements.append(_element(lead, lc, list(keyed.items()), p.modulus))
-    rem = _reduce({_key(e): c for e, c in p.terms.items()}, elements, p.modulus)
+            elements.append(_element(lead, lc, list(keyed.items()), p.modulus, p.nvars))
+    rem = _reduce({_pack(e): c for e, c in p.terms.items()}, elements, p.modulus,
+                  _guard(p.nvars))
     return _to_poly(rem, p.nvars, p.modulus)
 
 
@@ -263,24 +279,25 @@ def _minimal_basis(gens):
     first) with unreduced tails; no elements for the zero ideal."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        return [], None, None
+        return [], 0, None
     nvars, modulus = gens[0].nvars, gens[0].modulus
     _check_ring(gens, nvars, modulus, "generators live in different polynomial rings")
+    guard = _guard(nvars)
     elements, active, pairs = [], [], []
 
     def add_remainder(rem):
         if rem:
             (lead, lc), tail = rem[0], rem[1:]
-            _update(elements, active, pairs, _element(lead, lc, tail, modulus))
+            _update(elements, active, pairs, _element(lead, lc, tail, modulus, nvars), guard)
 
-    polys = [{_key(e): c for e, c in g.terms.items()} for g in gens]
+    polys = [{_pack(e): c for e, c in g.terms.items()} for g in gens]
     polys.sort(key=min, reverse=True)  # min key = leading term; smallest first
     for terms in polys:
-        add_remainder(_reduce(terms, [elements[a] for a in active], modulus))
+        add_remainder(_reduce(terms, [elements[a] for a in active], modulus, guard))
     while pairs:
-        _, i, j, lcm = heappop(pairs)
-        add_remainder(_reduce(_s_poly(elements[i], elements[j], lcm, modulus),
-                              [elements[a] for a in active], modulus))
+        neg_lcm, i, j = heappop(pairs)
+        add_remainder(_reduce(_s_poly(elements[i], elements[j], -neg_lcm),
+                              [elements[a] for a in active], modulus, guard))
     return sorted((elements[a] for a in active), reverse=True), nvars, modulus
 
 
@@ -289,7 +306,9 @@ def buchberger(gens) -> list:
     first: the minimal basis with its tails interreduced."""
     minimal, nvars, modulus = _minimal_basis(gens)
     one = 1 if modulus is not None else Fraction(1)
-    return [_to_poly([(lead, one)] + _reduce(dict(tail), minimal, modulus), nvars, modulus)
+    guard = _guard(nvars)
+    return [_to_poly([(lead, one)] + _reduce(dict(tail), minimal, modulus, guard),
+                     nvars, modulus)
             for lead, _, tail in minimal]
 
 
@@ -303,7 +322,7 @@ def quotient_codimension(gens):
     minimal, nvars, _ = _minimal_basis(gens)
     if not minimal:
         return INFINITE
-    leads = [_exponent(lead) for lead, _, _ in minimal]
+    leads = [e for _, e, _ in minimal]
     degree_cap = []
     for v in range(nvars):
         pures = [e[v] for e in leads if sum(e) == e[v]]

@@ -48,6 +48,14 @@ def grevlex_key(e):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
+def gepner_generators(n, k):
+    """Gepner's fusion-potential presentation of A_n at level k, written
+    apart from extraction: the characters h_{k+1}, ..., h_{k+n} of the
+    symmetric powers of the standard representation, irrep((k + j) omega_1)
+    (Gepner, Commun. Math. Phys. 141 (1991) 381)."""
+    return [VirtualCharacter.irrep((k + j,) + (0,) * (n - 1)) for j in range(1, n + 1)]
+
+
 # Laurent polynomials in the weight-lattice group ring, as {exponent: coeff}
 
 def laurent_add(a: dict, b: dict) -> dict:

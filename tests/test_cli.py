@@ -296,6 +296,20 @@ def test_label_codes_and_translation_stay_in_twisted():
     assert {name for _, name in found} == private | {"reduce"}
 
 
+def test_packed_monomial_keys_stay_in_groebner():
+    # the Groebner engine owns its packed monomial keys, their field layout
+    # and their guard: no other module names the helpers or the constants
+    private = {"_pack", "_unpack", "_guard", "_key_divides", "_key_lcm",
+               "_FIELD", "_DEGREE_LIMIT"}
+    found = set()
+    for path in sorted(Path(fusionring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, attr, None) for attr in ("id", "attr", "name")}
+            found |= {(path.stem, name) for name in names & private}
+    assert {stem for stem, _ in found} == {"groebner"}
+    assert {name for _, name in found} == private
+
+
 def test_the_row_operation_log_stays_in_intlinalg():
     # a stored row names a node of its echelon's row-operation log, and
     # only the echelon runs that log: no other module reads an echelon's

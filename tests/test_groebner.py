@@ -178,6 +178,9 @@ def test_negative_exponents_rejected():
         quotient_codimension([FieldPoly(1, {(-1,): 1})])
     with pytest.raises(InputError, match=r"\(2, -3\)"):
         FieldPoly(2, {(0, 0): 1, (2, -3): 4}, 5)
+    # nor is x^1.5; read as one it gave an infinite codimension
+    with pytest.raises(InputError, match=r"\(1\.5, 0\)"):
+        FieldPoly(2, {(1.5, 0): 1, (0, 2): 1})
 
 
 def test_check_prime():
@@ -203,3 +206,23 @@ def test_normal_form_ring_mismatch():
     with pytest.raises(InputError):
         normal_form(FieldPoly(3, {(3, 0, 0): 1}), gb_q)
     assert normal_form(poly2({(3, 0): 1}, 5), gb_5).terms == {(1, 1): 1}
+
+
+def test_exponent_fields_guard_their_degree_limit():
+    # a degree below 2**15 packs into the 16-bit exponent fields; the engine
+    # refuses a monomial at the limit, input term or S-pair lcm, by name
+    from fusionring import InputError
+    top = (1 << 15) - 1
+    nf = normal_form(poly2({(top, 0): 1}), [poly2({(top, 0): 1, (0, 1): -1})])
+    assert nf.terms == {(0, 1): Fraction(1)}
+    nf = normal_form(poly2({(0, top): 3}, 7), [poly2({(1, top - 1): 1}, 7)])
+    assert nf.terms == {(0, top): 3}   # x does not divide y^top
+    with pytest.raises(InputError, match=r"\(32767, 1\) .* 16-bit"):
+        normal_form(poly2({(top, 1): 1}), [poly2({(1, 0): 1})])
+    with pytest.raises(InputError, match=r"\(0, 32768\) .* 16-bit"):
+        quotient_codimension([poly2({(0, top + 1): 1})])
+    with pytest.raises(InputError, match=r"\(16384, 16384\) .* 16-bit"):
+        buchberger([poly2({(1 << 14, 0): 1, (0, 0): -1}, 3),
+                    poly2({(0, 1 << 14): 1, (0, 0): -1}, 3)])
+    with pytest.raises(InputError, match=r"\(32768,\) .* 16-bit"):
+        FieldPoly(1, {(top + 1,): 1, (0,): 1}).leading()

@@ -2,9 +2,12 @@
 import pytest
 
 from itertools import product
+from operator import add, le
 
-from fusionring import FieldPoly, buchberger, normal_form, quotient_codimension
+from fusionring import FieldPoly, buchberger, groebner, normal_form, quotient_codimension
 from fusionring.groebner import INFINITE
+
+from conftest import grevlex_key
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -103,3 +106,61 @@ def test_codimension_counts_the_reduced_basis_leads(ideal):
     # the interreduced basis, whose leads are the same monomials
     _, gens = ideal
     assert quotient_codimension(gens) == _standard_monomials(buchberger(gens))
+
+
+LIMIT = 1 << 15   # the engine's degree limit (test_groebner)
+
+
+@st.composite
+def exponent_pairs(draw):
+    """Two exponent vectors in 1..8 variables whose sum stays below LIMIT."""
+    n = draw(st.integers(1, 8))
+    entries = st.integers(0, (LIMIT - 1) // (2 * n)) | st.integers(0, 2)
+    vector = st.tuples(*[entries] * n)
+    return n, draw(vector), draw(vector)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(exponent_pairs())
+def test_packed_keys_against_componentwise_arithmetic(pair):
+    n, a, b = pair
+    ka, kb = groebner._pack(a), groebner._pack(b)
+    both = tuple(map(add, a, b))
+    assert groebner._unpack(ka, n) == a and groebner._unpack(kb, n) == b
+    assert (ka < kb) == (grevlex_key(a) > grevlex_key(b))
+    assert (ka == kb) == (a == b)
+    assert ka + kb == groebner._pack(both)
+    guard = groebner._guard(n)
+    assert groebner._key_divides(ka, kb, guard) == all(map(le, a, b))
+    assert groebner._key_divides(ka, groebner._pack(both), guard)
+    assert groebner._key_lcm(a, b) == groebner._pack(tuple(map(max, a, b)))
+    assert groebner._unpack(groebner._key_lcm(a, b), n) == tuple(map(max, a, b))
+
+
+@st.composite
+def monic_divisions(draw):
+    """A prime, a list of 1..3 monic integer polynomials and an integer
+    polynomial, in two variables."""
+    basis = []
+    for terms in draw(st.lists(term_dicts, min_size=1, max_size=3)):
+        terms = {e: c for e, c in terms.items() if c}
+        if terms:
+            lead = max(terms, key=grevlex_key)
+            basis.append({**terms, lead: 1})
+    return draw(st.sampled_from((2, 3, 7))), basis, draw(term_dicts)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(monic_divisions())
+@hypothesis.example((3, [{(1, 0): 1, (0, 1): 2}], {(1, 0): 2, (0, 1): 1}))
+def test_prime_field_division_is_rational_division_mod_p(case):
+    # division by monic integer polynomials takes steps that depend only on
+    # monomials, so over F_p it is the Q division read mod p: a term whose
+    # coefficient vanishes mod p must leave the remainder and take no step
+    # (the example: y gets 1 - 2 * 2 = -3, which is 0 mod 3 but not 0)
+    p, basis, f = case
+    over_q = normal_form(FieldPoly(2, f), [FieldPoly(2, g) for g in basis])
+    assert all(c.denominator == 1 for c in over_q.terms.values())
+    expected = {e: int(c) % p for e, c in over_q.terms.items() if int(c) % p}
+    assert normal_form(FieldPoly(2, f, p),
+                       [FieldPoly(2, g, p) for g in basis]).terms == expected
