@@ -4,7 +4,9 @@ Monomial order is graded reverse lexicographic throughout.  Coefficients
 are exact: Fraction over Q, residues modulo a prime p < 2**31 otherwise.
 Only what the quotient-codimension checks need is implemented: reduced
 bases, normal forms, and standard-monomial counting for zero-dimensional
-ideals.
+ideals.  The codimensions over a list of primes come from one run over
+the integers modulo their product, split where a prime divides a leading
+coefficient (_minimal_bases).
 
 The one monomial order is the key of x^e: one int holding e_n, ..., e_1
 in 16-bit fields, e_1 lowest, below -deg e, so that int order is the
@@ -31,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt, prod
 from operator import le
 
 from .errors import InputError
@@ -45,6 +47,17 @@ def check_prime(p):
             or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
         raise InputError(f"modulus {p!r} is not a prime below 2**31")
     return p
+
+
+def check_primes(primes):
+    """Return primes as a tuple of distinct primes below 2**31, else raise
+    InputError."""
+    primes = tuple(primes)
+    for i, p in enumerate(primes):
+        if p in primes[:i]:
+            raise InputError(f"prime {p} is repeated")
+        check_prime(p)
+    return primes
 
 
 def _inverse(c, modulus):
@@ -273,38 +286,74 @@ def normal_form(p: FieldPoly, basis) -> FieldPoly:
     return _to_poly(rem, p.nvars, p.modulus)
 
 
-def _minimal_basis(gens):
-    """(elements, nvars, modulus): the minimal Groebner basis of the ideal
-    generated by gens, its elements in descending key order (smallest lead
-    first) with unreduced tails; no elements for the zero ideal."""
+def _keyed(gens):
+    """(nvars, modulus, polys): the ring of gens and its nonzero members as
+    key -> coefficient dicts; no polys for the zero ideal."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        return [], 0, None
+        return 0, None, []
     nvars, modulus = gens[0].nvars, gens[0].modulus
     _check_ring(gens, nvars, modulus, "generators live in different polynomial rings")
+    return nvars, modulus, [{_pack(e): c for e, c in g.terms.items()} for g in gens]
+
+
+def _minimal_bases(polys, nvars, modulus):
+    """The minimal Groebner bases of the ideal generated by polys (key ->
+    coefficient dicts, consumed) over Q (modulus None), F_p, or Z/M for a
+    product M of distinct primes, as (part, elements) leaves.
+
+    Over Z/M this is one Buchberger run over every F_p at once: Z/M is
+    their product (CRT), and the divisions, lcms and criteria read only
+    leads, which agree over every F_p while each leading coefficient lc
+    is a unit.  A remainder whose lc is not one splits the run: the
+    primes dividing lc, gcd(lc, M), go on from a copy of the pairs, the
+    minimal basis and the pending generators, where the lead has vanished
+    and the next term leads; the other primes go on with lc a unit.
+    Elements are shared: a tail normalised modulo a multiple of a part
+    reads correctly modulo the part, since _reduce reduces at pop.  Over
+    F_p the run never splits.  The parts of the leaves multiply to M, and
+    the elements of a leaf, in descending key order (smallest lead first)
+    with unreduced tails, are the minimal basis over F_p for every prime p
+    of its part; none for the zero ideal.
+    """
     guard = _guard(nvars)
-    elements, active, pairs = [], [], []
-
-    def add_remainder(rem):
-        if rem:
-            (lead, lc), tail = rem[0], rem[1:]
-            _update(elements, active, pairs, _element(lead, lc, tail, modulus, nvars), guard)
-
-    polys = [{_pack(e): c for e, c in g.terms.items()} for g in gens]
-    polys.sort(key=min, reverse=True)  # min key = leading term; smallest first
-    for terms in polys:
-        add_remainder(_reduce(terms, [elements[a] for a in active], modulus, guard))
-    while pairs:
-        neg_lcm, i, j = heappop(pairs)
-        add_remainder(_reduce(_s_poly(elements[i], elements[j], -neg_lcm),
-                              [elements[a] for a in active], modulus, guard))
-    return sorted((elements[a] for a in active), reverse=True), nvars, modulus
+    elements, leaves = [], []
+    # min key = leading term: popped from the end, the smallest lead comes first
+    branches = [(modulus, [], [], sorted(polys, key=min), [])]
+    while branches:
+        modulus, active, pairs, pending, rem = branches.pop()
+        while True:
+            while rem and modulus is not None:
+                part = gcd(rem[0][1], modulus)
+                if part == 1:
+                    break
+                if part == modulus:  # the lead vanishes mod every prime here
+                    rem = rem[1:]
+                else:
+                    modulus //= part
+                    branches.append((part, active[:], pairs[:], [dict(t) for t in pending],
+                                     rem))
+            if rem:
+                (lead, lc), tail = rem[0], rem[1:]
+                _update(elements, active, pairs, _element(lead, lc, tail, modulus, nvars),
+                        guard)
+            if pending:
+                terms = pending.pop()
+            elif pairs:
+                neg_lcm, i, j = heappop(pairs)
+                terms = _s_poly(elements[i], elements[j], -neg_lcm)
+            else:
+                break
+            rem = _reduce(terms, [elements[a] for a in active], modulus, guard)
+        leaves.append((modulus, sorted((elements[a] for a in active), reverse=True)))
+    return leaves
 
 
 def buchberger(gens) -> list:
     """Reduced Groebner basis of the ideal generated by gens, smallest lead
     first: the minimal basis with its tails interreduced."""
-    minimal, nvars, modulus = _minimal_basis(gens)
+    nvars, modulus, polys = _keyed(gens)
+    ((_, minimal),) = _minimal_bases(polys, nvars, modulus)
     one = 1 if modulus is not None else Fraction(1)
     guard = _guard(nvars)
     return [_to_poly([(lead, one)] + _reduce(dict(tail), minimal, modulus, guard),
@@ -319,7 +368,32 @@ def quotient_codimension(gens):
     leads of the minimal basis; finite exactly when every variable has a
     pure power among them.
     """
-    minimal, nvars, _ = _minimal_basis(gens)
+    nvars, modulus, polys = _keyed(gens)
+    ((_, minimal),) = _minimal_bases(polys, nvars, modulus)
+    return _codimension(minimal, nvars)
+
+
+def prime_codimensions(gens, primes) -> dict:
+    """{p: quotient codimension over F_p} for each prime of primes, in
+    their order, of the ideal that gens, polynomials over Q with integer
+    coefficients, generate modulo p.
+
+    One Buchberger run over Z/M, M the product of the primes, which splits
+    only where a prime divides a leading coefficient (_minimal_bases); each
+    leaf gives the codimension of every prime of its part.
+    """
+    primes = check_primes(primes)
+    nvars, modulus, polys = _keyed(gens)
+    if modulus is not None or any(c.denominator != 1 for g in polys for c in g.values()):
+        raise InputError("generators must be polynomials over Q with integer coefficients")
+    polys = [{t: c.numerator for t, c in terms.items()} for terms in polys]
+    counts = [(part, _codimension(minimal, nvars))
+              for part, minimal in _minimal_bases(polys, nvars, prod(primes))]
+    return {p: next(count for part, count in counts if part % p == 0) for p in primes}
+
+
+def _codimension(minimal, nvars):
+    """The standard-monomial count of the leads of a minimal basis."""
     if not minimal:
         return INFINITE
     leads = [e for _, e, _ in minimal]

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import InputError
 from .fusion import _fold_kernel, in_fusion_ideal
-from .groebner import FieldPoly, check_prime, quotient_codimension
+from .groebner import FieldPoly, check_primes, prime_codimensions, quotient_codimension
 from .repring import VirtualCharacter, to_polynomial
 from .rootdata import (RootSystem, _WalkTable, _check_level, _check_weight, alcove_weights,
                        rho_walk)
@@ -359,31 +359,28 @@ def verify_presentation(rs: RootSystem, k: int, gens,
     """Certify a generator list against the oracle and by quotient codimension.
 
     Membership is exact integer folding.  The codimension of the quotient
-    by the generated ideal is computed over Q and over each prime field;
-    the presentation passes when every generator folds to zero and every
-    codimension equals the alcove count.  Primes outside the list are not
-    certified, which callers should report alongside the verdict; a prime
-    listed twice is an InputError.
+    by the generated ideal is computed over Q, and over every prime field
+    of the list in one run (groebner.prime_codimensions); the presentation
+    passes when every generator folds to zero and every codimension equals
+    the alcove count.  Primes outside the list are not certified, which
+    callers should report alongside the verdict; a prime listed twice is an
+    InputError.
     """
     gens, primes = list(gens), tuple(primes)
     if not gens:
         raise InputError("generator list must be nonempty")
     if not primes:
         raise InputError("prime list must be nonempty")
-    for i, p in enumerate(primes):
-        if p in primes[:i]:
-            raise InputError(f"prime {p} is repeated")
-        check_prime(p)
+    check_primes(primes)
     k = _check_level(k)
     membership = [in_fusion_ideal(rs, g, k) for g in gens]
     alcove_count = len(alcove_weights(rs, k))
-    codims = {}     # Q under the key None, then each prime
+    codim_q, codim_fp = None, {}
     if all(membership):
-        polys = [to_polynomial(rs, g).terms for g in gens]
-        for p in (None, *primes):
-            codims[p] = quotient_codimension([FieldPoly(rs.rank, poly, p) for poly in polys])
-    passed = all(membership) and all(c == alcove_count for c in codims.values())
+        polys = [FieldPoly(rs.rank, to_polynomial(rs, g).terms) for g in gens]
+        codim_q, codim_fp = quotient_codimension(polys), prime_codimensions(polys, primes)
+    passed = all(membership) and {codim_q, *codim_fp.values()} == {alcove_count}
     return PresentationReport(group=str(rs.lie_type), level=k, generators=gens,
-                              membership=membership, codim_q=codims.pop(None, None),
-                              codim_fp=codims, alcove_count=alcove_count,
+                              membership=membership, codim_q=codim_q,
+                              codim_fp=codim_fp, alcove_count=alcove_count,
                               primes=primes, verdict="pass" if passed else "fail")

@@ -6,17 +6,17 @@ run time.
 """
 import random
 
-from fusionring import (VirtualCharacter, alcove_weights, build_complex,
-                        build_root_system, census, cokernel_vs_oracle,
+from fusionring import (FieldPoly, VirtualCharacter, alcove_weights, buchberger,
+                        build_complex, build_root_system, census, cokernel_vs_oracle,
                         d_squared_check, extract_presentation, fold,
                         fusion_table, g2_fusion_ideal_generators,
-                        tensor_product, verify_module_basis,
+                        tensor_product, to_polynomial, verify_module_basis,
                         verify_presentation, verlinde_numeric_check)
 from fusionring.cli import G2_MODULE_BASES
 from fusionring.resolution import DEFAULT_PRIMES
 from fusionring.twisted import char_expansion, module_element_expansion
 
-from conftest import laurent_add, laurent_mul, laurent_scale
+from conftest import gepner_generators, laurent_add, laurent_mul, laurent_scale
 
 G2_ALCOVE_COUNTS = {1: 2, 2: 4, 3: 6, 4: 9, 5: 12, 6: 16, 7: 20, 8: 25}
 
@@ -187,9 +187,17 @@ def test_criterion_6_rank_three_presentation():
     a3 = build_root_system("A3")
     result = extract_presentation(a3, 1, lambda_bound=18)
     report = verify_presentation(a3, 1, result.generators)
+    # the type-A route: Gepner's three generators span the same ideal, so
+    # the reduced bases agree over Q and every default prime
+    extracted = [to_polynomial(a3, g).terms for g in result.generators]
+    gepner = [to_polynomial(a3, g).terms for g in gepner_generators(3, 1)]
+    same_basis = all(buchberger([FieldPoly(3, g, p) for g in extracted])
+                     == buchberger([FieldPoly(3, g, p) for g in gepner])
+                     for p in (None, *DEFAULT_PRIMES))
     ok = (len(result.generators) == 11 and result.generator_bound == 14
           and result.per_edge_counts == {(1, 2): 3, (1, 3): 5, (2, 3): 3}
           and report.passed and report.codim_q == 4 == report.alcove_count
-          and report.codim_fp == dict.fromkeys(DEFAULT_PRIMES, 4))
+          and report.codim_fp == dict.fromkeys(DEFAULT_PRIMES, 4) and same_basis)
     _verdict(6, ok, f"A3 k=1 lambda_bound=18: {len(result.generators)} gens "
-                    f"(bound {result.generator_bound}), codim_Q={report.codim_q}")
+                    f"(bound {result.generator_bound}), codim_Q={report.codim_q}, "
+                    f"Gepner basis {'equal' if same_basis else 'differs'}")

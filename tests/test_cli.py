@@ -310,6 +310,39 @@ def test_packed_monomial_keys_stay_in_groebner():
     assert {name for _, name in found} == private
 
 
+def _call_name(node):
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def test_one_s_pair_loop_serves_every_prime():
+    # groebner._minimal_bases is the one S-pair loop: it alone adds basis
+    # elements, and it runs a whole prime list over the primes' product,
+    # so no module forks a run per prime.  resolution asks for Q once and
+    # for the prime list once, and builds no polynomial over a prime field
+    updates = []
+    for path in sorted(Path(fusionring.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                updates += [(path.stem, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Call) and _call_name(node) == "_update"]
+    assert updates == [("groebner", "_minimal_bases")]
+    path = Path(fusionring.__file__).parent / "resolution.py"
+    tree = ast.parse(path.read_text(), str(path))
+    engine = {"quotient_codimension", "prime_codimensions", "buchberger", "normal_form"}
+    calls = [_call_name(node) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert sorted(name for name in calls if name in engine) == \
+        ["prime_codimensions", "quotient_codimension"]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for loop in ast.walk(tree):
+        if isinstance(loop, loops):
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call):
+                    assert _call_name(node) not in engine, node.lineno
+                    if _call_name(node) == "FieldPoly":
+                        assert len(node.args) < 3 and not node.keywords, node.lineno
+
+
 def test_the_row_operation_log_stays_in_intlinalg():
     # a stored row names a node of its echelon's row-operation log, and
     # only the echelon runs that log: no other module reads an echelon's

@@ -193,6 +193,27 @@ def test_check_prime():
             check_prime(bad)
 
 
+def test_prime_codimensions_take_integer_polynomials_and_distinct_primes():
+    from fusionring import InputError
+    from fusionring.groebner import prime_codimensions
+    f = poly2({(2, 0): 1, (0, 1): -1})
+    g = poly2({(0, 2): 1, (1, 0): -1})
+    assert prime_codimensions([f, g], (5, 2)) == {5: 4, 2: 4}
+    assert prime_codimensions([f, g], ()) == {}
+    assert prime_codimensions([], (3,)) == {3: INFINITE}
+    with pytest.raises(InputError, match="prime 2 is repeated"):
+        prime_codimensions([f, g], (2, 3, 2))
+    for bad in ((4,), (2, 9), (5.0,)):
+        with pytest.raises(InputError):
+            prime_codimensions([f, g], bad)
+    # the product of the primes never reaches a FieldPoly: the generators
+    # are over Q, with integer coefficients
+    with pytest.raises(InputError, match="integer coefficients"):
+        prime_codimensions([poly2({(1, 0): 1}, 3)], (3,))
+    with pytest.raises(InputError, match="integer coefficients"):
+        prime_codimensions([poly2({(1, 0): Fraction(1, 2)})], (3,))
+
+
 def test_normal_form_ring_mismatch():
     from fusionring import InputError
     f = poly2({(2, 0): 1, (0, 1): -1})

@@ -5,7 +5,8 @@ from itertools import product
 from operator import add, le
 
 from fusionring import FieldPoly, buchberger, groebner, normal_form, quotient_codimension
-from fusionring.groebner import INFINITE
+from fusionring.groebner import INFINITE, prime_codimensions
+from fusionring.resolution import DEFAULT_PRIMES
 
 from conftest import grevlex_key
 
@@ -164,3 +165,41 @@ def test_prime_field_division_is_rational_division_mod_p(case):
     expected = {e: int(c) % p for e, c in over_q.terms.items() if int(c) % p}
     assert normal_form(FieldPoly(2, f, p),
                        [FieldPoly(2, g, p) for g in basis]).terms == expected
+
+
+# coefficients that vanish mod some of 2, 3, 5 and 7, so that leads do
+SPLITTING = st.sampled_from((2, 3, 5, 6, 7, 10, 14, 15, 21, 35, 210, -6, -35)) \
+    | st.integers(-9, 9)
+
+
+@st.composite
+def integer_ideals(draw):
+    """1..4 integer polynomials in 1..3 variables, often with a pure power
+    of each variable, and 1..5 distinct primes: default primes and
+    2**31 - 1."""
+    n = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 3)] * n)
+    gens = draw(st.lists(st.dictionaries(exponent, SPLITTING, min_size=1, max_size=4),
+                         min_size=1, max_size=4))
+    if draw(st.booleans()):
+        for v in range(n):
+            power = tuple(draw(st.integers(1, 3)) if u == v else 0 for u in range(n))
+            gens.append({power: draw(SPLITTING), (0,) * n: draw(SPLITTING)})
+    primes = draw(st.lists(st.sampled_from(DEFAULT_PRIMES + (2 ** 31 - 1,)),
+                           min_size=1, max_size=5, unique=True))
+    return n, gens, tuple(primes)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(integer_ideals())
+@hypothesis.example((1, [{(1,): 2, (0,): 1}], (2, 3)))
+@hypothesis.example((2, [{(1, 0): 6, (0, 1): 3, (0, 0): 1}, {(0, 2): 1}], (2, 3, 5)))
+def test_one_run_over_the_primes_product_is_each_prime_run(case):
+    # the examples split: 2x + 1 is the unit ideal mod 2 and x = 1 mod 3;
+    # mod 3 the lead 6x of the first generator and then its next term 3y
+    # vanish, so 1 leads
+    n, gens, primes = case
+    got = prime_codimensions([FieldPoly(n, g) for g in gens], primes)
+    assert list(got) == list(primes)
+    assert got == {p: quotient_codimension([FieldPoly(n, g, p) for g in gens])
+                   for p in primes}

@@ -4,15 +4,16 @@ from operator import add
 
 import pytest
 
-from fusionring import (InputError, InternalLimitError, VirtualCharacter,
+from fusionring import (FieldPoly, InputError, InternalLimitError, VirtualCharacter,
                         build_complex, build_root_system, centralizer_info,
                         alcove_weights, cokernel_vs_oracle, d1_component,
                         d_squared_check, enumerate_labels, extract_presentation,
                         fold_weight, full_weights, g2_fusion_ideal_generators,
-                        in_fusion_ideal, verify_presentation)
+                        in_fusion_ideal, quotient_codimension, to_polynomial,
+                        verify_presentation)
 from fusionring import intlinalg, resolution, twisted
-from fusionring.groebner import INFINITE
-from fusionring.resolution import CokernelReport, D2Report
+from fusionring.groebner import INFINITE, prime_codimensions
+from fusionring.resolution import DEFAULT_PRIMES, CokernelReport, D2Report
 
 
 def test_complex_ranks(a1, g2):
@@ -382,6 +383,42 @@ def test_verify_presentation_rejects_a_repeated_prime(g2):
     # a repeated prime would be certified twice and listed twice
     with pytest.raises(InputError, match="prime 3 is repeated"):
         verify_presentation(g2, 1, g2_fusion_ideal_generators(1), primes=(3, 2, 3))
+
+
+def test_one_prime_disagrees_with_q(g2):
+    # generators 0 and 4 of the G2 level-3 extraction cut out a quotient of
+    # dimension 6 over Q and every default prime but 7, where it is
+    # infinite: the one run over the primes' product splits off 7 and
+    # answers for it alone, through verify_presentation and the engine
+    pair = [extract_presentation(g2, 3).generators[i] for i in (0, 4)]
+    expected = {p: INFINITE if p == 7 else 6 for p in DEFAULT_PRIMES}
+    report = verify_presentation(g2, 3, pair)
+    assert all(report.membership) and report.verdict == "fail"
+    assert report.codim_q == 6 and report.codim_fp == expected
+    polys = [FieldPoly(2, to_polynomial(g2, g).terms) for g in pair]
+    assert prime_codimensions(polys, DEFAULT_PRIMES) == expected
+    for p in DEFAULT_PRIMES:
+        assert quotient_codimension([FieldPoly(2, f.terms, p) for f in polys]) == expected[p]
+
+
+# (group, level) -> the size of the smallest certified subset of the
+# extracted generators, and their count
+MINIMAL_SUBSETS = {("A2", 1): (2, 4), ("A2", 2): (2, 4), ("A2", 3): (2, 4),
+                   ("B2", 1): (2, 5), ("B2", 2): (2, 5),
+                   ("C2", 1): (2, 5), ("C2", 2): (2, 5),
+                   ("G2", 1): (2, 7), ("G2", 2): (2, 7), ("G2", 3): (3, 7), ("G2", 4): (3, 7)}
+
+
+def test_minimal_certified_subsets():
+    # exhaustive by size: no smaller subset passes over Q and every default
+    # prime, and one of the pinned size does
+    for (group, k), (size, count) in MINIMAL_SUBSETS.items():
+        rs = build_root_system(group)
+        gens = extract_presentation(rs, k).generators
+        smallest = next(s for s in range(1, len(gens) + 1)
+                        if any(verify_presentation(rs, k, sub).passed
+                               for sub in combinations(gens, s)))
+        assert (smallest, len(gens)) == (size, count), (group, k)
 
 
 def test_exploratory_minimal_presentation(g2):
