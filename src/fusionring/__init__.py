@@ -7,23 +7,17 @@ and Groebner-based codimension certificates for extracted presentations.
 """
 
 from .errors import InputError, InternalLimitError
-from .fusion import (FusionElement, fold, fold_weight, fuse_elements,
-                     fusion_product, fusion_table, in_fusion_ideal,
+from .fusion import (FusionElement, fold, fusion_product, fusion_table, in_fusion_ideal,
                      verlinde_numeric_check)
 from .groebner import FieldPoly, buchberger, normal_form, quotient_codimension
-from .repring import (PolyChar, VirtualCharacter, dim_virtual, from_polynomial,
-                      tensor_product, to_polynomial)
+from .repring import PolyChar, VirtualCharacter, tensor_product, to_polynomial
 from .resolution import (ComplexSpec, DEFAULT_PRIMES, PresentationReport,
-                         build_complex, cokernel_vs_oracle, d1_component,
-                         d_squared_check, extract_presentation,
-                         g2_fusion_ideal_generators, verify_presentation)
+                         build_complex, cokernel_vs_oracle, d_squared_check,
+                         extract_presentation, g2_fusion_ideal_generators,
+                         verify_presentation)
 from .rootdata import (LieType, RootSystem, alcove_weights, build_root_system,
-                       dominant_reduce, full_weights, shifted_dominant_reduce,
-                       weight_multiplicity, weyl_dimension, weyl_orbit)
-from .twisted import (CentralizerInfo, TwistedModuleElement, census,
-                      centralizer_info, enumerate_labels, face_subset,
-                      find_module_basis, module_element_expansion,
-                      regularize_affine, rg_multiply, rho_S, twist_order,
-                      verify_module_basis)
+                       full_weights, weyl_orbit)
+from .twisted import (CentralizerInfo, census, centralizer_info, enumerate_labels,
+                      face_subset, find_module_basis, twist_order, verify_module_basis)
 
 __version__ = "0.1.0"

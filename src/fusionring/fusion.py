@@ -19,7 +19,7 @@ from .repring import VirtualCharacter, fewer_weights_first
 from .rootdata import (RootSystem, _WalkTable, _check_level, _check_weight, _integer_form,
                        alcove_weights, full_weights, rho_walk,
                        weyl_orbit_signed)
-from .sparse import Report, Sparse, addmul
+from .sparse import Report, Sparse
 
 
 class FusionElement(Sparse):
@@ -36,19 +36,10 @@ class FusionElement(Sparse):
 
 def _fold_kernel(rs: RootSystem, k: int):
     """The kernel of the affine Weyl group at k + h_vee (rootdata.rho_walk),
-    after checking the level."""
+    after checking the level: walk(w) is None when w + rho hits a wall,
+    else (alcove weight, sign).  Its reflection cap is derived from the
+    weight, so every input reduces; see rootdata.chamber_walk for the bound."""
     return rho_walk(rs, 2 * (_check_level(k) + rs.dual_coxeter))
-
-
-def fold_weight(rs: RootSystem, w, k: int):
-    """Reduce one weight to the level-k alcove under the shifted action.
-
-    Returns None when w + rho hits a wall, else (alcove weight, sign).
-    Validates the level and the weight, then runs the fold kernel.  Its
-    reflection cap is derived from the weight, so every input reduces; see
-    rootdata.chamber_walk for the bound.
-    """
-    return _fold_kernel(rs, k).walk(_check_weight(rs, w))
 
 
 def fold(rs: RootSystem, x: VirtualCharacter, k: int) -> FusionElement:
@@ -81,17 +72,6 @@ def fusion_product(rs: RootSystem, a, b, k: int) -> FusionElement:
             raise InputError(f"weight {w} is outside the level-{k} alcove")
     p, s = sorted((a, b), key=fewer_weights_first(rs))
     return FusionElement(k, kernel.signed_sum(full_weights(rs, p), s))
-
-
-def fuse_elements(rs: RootSystem, x: FusionElement, y: FusionElement) -> FusionElement:
-    """Bilinear extension of the fusion product."""
-    if x.level != y.level:
-        raise InputError("fusion elements live at different levels")
-    out = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            addmul(out, fusion_product(rs, a, b, x.level).terms, ca * cb)
-    return FusionElement(x.level, out)
 
 
 def fusion_table(rs: RootSystem, k: int) -> dict:

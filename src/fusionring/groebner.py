@@ -31,6 +31,7 @@ without the interreduction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd, isqrt, prod
@@ -43,10 +44,16 @@ INFINITE = "infinite"  # codimension of a non-zero-dimensional quotient
 
 def check_prime(p):
     """Return p if it is a prime below 2**31, else raise InputError."""
-    if (not isinstance(p, int) or not 1 < p < 2 ** 31
-            or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
+    if not (isinstance(p, int) and 1 < p < 2 ** 31 and _has_no_divisor(p)):
         raise InputError(f"modulus {p!r} is not a prime below 2**31")
     return p
+
+
+@lru_cache(maxsize=None)
+def _has_no_divisor(p):
+    """Trial division, once per modulus and process: a FieldPoly checks its
+    modulus on every construction."""
+    return all(p % q for q in range(2, isqrt(p) + 1))
 
 
 def check_primes(primes):
@@ -110,13 +117,6 @@ class FieldPoly:
         """(exponent, coefficient) of the grevlex-largest term: the smallest key."""
         e = min(self.terms, key=_pack)
         return e, self.terms[e]
-
-    def monic(self):
-        if not self.terms:
-            return self
-        inv, p = _inverse(self.leading()[1], self.modulus), self.modulus
-        terms = {f: c * inv if p is None else c * inv % p for f, c in self.terms.items()}
-        return FieldPoly._derived(self.nvars, terms, p)
 
     def __eq__(self, other):
         return (isinstance(other, FieldPoly) and self.modulus == other.modulus

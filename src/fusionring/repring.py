@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .rootdata import RootSystem, _check_weight, full_weights, rho_walk, weyl_dimension
+from .rootdata import RootSystem, _check_weight, full_weights, rho_walk
 from .sparse import Sparse, addmul
 
 
@@ -30,10 +30,6 @@ class VirtualCharacter(Sparse):
     def irrep(cls, weight):
         return cls({tuple(weight): 1})
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
 
 class PolyChar(Sparse):
     """Integer polynomial in the fundamental characters x_1 ... x_n."""
@@ -41,10 +37,6 @@ class PolyChar(Sparse):
     __slots__ = ()
     _key = "exponents"
     _negative = "exponent vector {} has a negative entry"
-
-
-def dim_virtual(rs: RootSystem, x: VirtualCharacter) -> int:
-    return sum(c * weyl_dimension(rs, w) for w, c in x.terms.items())
 
 
 def fewer_weights_first(rs: RootSystem):
@@ -99,11 +91,3 @@ def to_polynomial(rs: RootSystem, x: VirtualCharacter) -> PolyChar:
         addmul(out, {w: c})
         addmul(rem, monomial_character(rs, w).terms, -c)
     return PolyChar(out)
-
-
-def from_polynomial(rs: RootSystem, p: PolyChar) -> VirtualCharacter:
-    """Evaluate a polynomial with x_i sent to the i-th fundamental character."""
-    out = {}
-    for e, c in p.terms.items():
-        addmul(out, monomial_character(rs, e).terms, c)
-    return VirtualCharacter(out)

@@ -17,8 +17,7 @@ from .errors import InputError
 from .fusion import _fold_kernel, in_fusion_ideal
 from .groebner import FieldPoly, check_primes, prime_codimensions, quotient_codimension
 from .repring import VirtualCharacter, to_polynomial
-from .rootdata import (RootSystem, _WalkTable, _check_level, _check_weight, alcove_weights,
-                       rho_walk)
+from .rootdata import RootSystem, _WalkTable, _check_level, alcove_weights, rho_walk
 from .sparse import Report
 from .twisted import (_bounds, _face_walk, _search_basis, centralizer_info, enumerate_labels,
                       face_subset, find_module_basis, is_valid_label)
@@ -55,21 +54,6 @@ def build_complex(rs: RootSystem, k: int) -> ComplexSpec:
     if spec.euler_characteristic() != 0:
         raise AssertionError("free resolution must have zero Euler characteristic")
     return spec
-
-
-def d1_component(rs: RootSystem, subset, j: int, k: int, mu):
-    """One face-to-coface component of the differential on a basis label.
-
-    Returns None when the shifted label is singular for the larger face,
-    otherwise (label, sign) including the simplicial sign (-1)^s.
-    """
-    subset = face_subset(rs, subset)
-    if j in subset:
-        raise InputError(f"node {j} already lies in the face {subset}")
-    target = face_subset(rs, subset + (j,))
-    kernel, sign = next((kn, s) for t, kn, s in _cofaces(rs, subset, k) if t == target)
-    red = kernel.walk(_check_weight(rs, mu))
-    return None if red is None else (red[0], red[1] * sign)
 
 
 def _cofaces(rs, subset, k) -> tuple:

@@ -157,9 +157,8 @@ class RootSystem:
     """
 
     lie_type: LieType
-    cartan: tuple                 # rows are the simple roots
-    cartan_inv: tuple             # exact rational inverse
-    simple_roots: tuple
+    cartan_inv: tuple             # exact rational inverse of the Cartan matrix
+    simple_roots: tuple           # the rows of the Cartan matrix
     positive_roots: tuple         # weight coordinates
     positive_root_coords: tuple   # coefficients over the simple roots
     rho: Weight
@@ -179,23 +178,6 @@ class RootSystem:
     def level(self, w) -> int:
         """Pairing with the highest coroot: sum of comark_i * w_i."""
         return sum(c * x for c, x in zip(self.comarks[1:], w))
-
-    def reflect(self, i: int, w):
-        """Simple reflection at nonaffine node i (1-based)."""
-        ci = w[i - 1]
-        if ci == 0:
-            return tuple(w)
-        root = self.simple_roots[i - 1]
-        return tuple(x - ci * r for x, r in zip(w, root))
-
-    def form_pair(self, v, w) -> Fraction:
-        """Exact invariant inner product of two weight vectors."""
-        total = Fraction(0)
-        for i, vi in enumerate(v):
-            if vi:
-                row = self.form[i]
-                total += vi * sum(wj * row[j] for j, wj in enumerate(w) if wj)
-        return total
 
     def is_dominant(self, w) -> bool:
         return all(x >= 0 for x in w)
@@ -258,7 +240,6 @@ def _build(series: str, rank: int) -> RootSystem:
     t = LieType(series, rank)
     n = rank
     cartan = _cartan_matrix(series, n)
-    cartan_t = tuple(tuple(row) for row in cartan)
     cartan_inv = _mat_inverse(cartan)
     d = _symmetrizer(cartan)
     # form on fundamental weights: F = A^{-1} diag(d)
@@ -280,9 +261,8 @@ def _build(series: str, rank: int) -> RootSystem:
     hvee = sum(comarks)
     rs = RootSystem(
         lie_type=t,
-        cartan=cartan_t,
         cartan_inv=cartan_inv,
-        simple_roots=cartan_t,
+        simple_roots=tuple(tuple(row) for row in cartan),
         positive_roots=pos_w,
         positive_root_coords=pos_c,
         rho=(1,) * n,
@@ -343,29 +323,6 @@ def weyl_orbit_signed(rs: RootSystem, w) -> list:
     if not all(x > 0 for x in w):
         raise InputError("signed orbit requires a strictly dominant weight")
     return sorted(reflection_orbit(rs, tuple(range(rs.rank)), None, w).items())
-
-
-def dominant_reduce(rs: RootSystem, w):
-    """The dominant representative of the Weyl orbit of w."""
-    v = _check_weight(rs, w)
-    while True:
-        for i, ci in enumerate(v):
-            if ci < 0:
-                v = tuple(x - ci * r for x, r in zip(v, rs.simple_roots[i]))
-                break
-        else:
-            return v
-
-
-def shifted_dominant_reduce(rs: RootSystem, w):
-    """Rho-shifted reduction to the dominant chamber.
-
-    Returns None when w + rho lies on a reflection wall, otherwise the pair
-    (mu, sign) with mu + rho the dominant representative of w + rho and sign
-    the determinant of the Weyl element used.  Validates the weight and
-    runs the finite Weyl group's chamber walk (rho_walk).
-    """
-    return rho_walk(rs).walk(_check_weight(rs, w))
 
 
 def _node_root(rs: RootSystem, i: int):
@@ -674,7 +631,7 @@ def full_weights(rs: RootSystem, highest: Weight) -> dict:
     # lam bound those of lam - mu
     bounds = [int(sum(x * row[j] for x, row in zip(lam, rs.cartan_inv))) for j in range(n)]
     candidates = []
-    cart = rs.cartan
+    roots = rs.simple_roots
     # box walk keeping mu = lam - sum c_j alpha_j exact at every node
     stack = [(0, 0, lam)]
     while stack:
@@ -685,7 +642,7 @@ def full_weights(rs: RootSystem, highest: Weight) -> dict:
             continue
         for c in range(bounds[j] + 1):
             stack.append((j + 1, height + c, mu))
-            mu = tuple(map(sub, mu, cart[j]))
+            mu = tuple(map(sub, mu, roots[j]))
     candidates.sort()
     strings = []
     for alpha in rs.positive_roots:
@@ -716,23 +673,3 @@ def full_weights(rs: RootSystem, highest: Weight) -> dict:
                 raise AssertionError("Freudenthal recursion produced a bad value")
         out.update(dict.fromkeys(reflection_orbit(rs, walls, None, mu), val))
     return out
-
-
-def weight_multiplicity(rs: RootSystem, highest, mu) -> int:
-    """Multiplicity of the weight mu in the irrep with the given highest
-    weight: a lookup in its full weight system."""
-    return full_weights(rs, tuple(highest)).get(_check_weight(rs, mu), 0)
-
-
-def weyl_dimension(rs: RootSystem, highest) -> int:
-    """Dimension via the product formula over positive roots."""
-    highest = _check_weight(rs, highest)
-    if not rs.is_dominant(highest):
-        raise InputError("highest weight must be dominant")
-    lam_rho = tuple(x + 1 for x in highest)
-    dim = Fraction(1)
-    for alpha in rs.positive_roots:
-        dim *= rs.form_pair(lam_rho, alpha) / rs.form_pair(rs.rho, alpha)
-    if dim.denominator != 1:
-        raise AssertionError("dimension formula produced a non-integer")
-    return int(dim)

@@ -103,11 +103,6 @@ class Sparse:
                         for w, c in sorted(self.terms.items())]
         return out
 
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(*(d[f] for f in cls._fields),
-                   {tuple(t[cls._key]): t["coeff"] for t in d["terms"]})
-
 
 def to_json(value):
     """The JSON form of a value: a dataclass maps each field, under its name

@@ -12,7 +12,6 @@ chamber walks run on doubled integer coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, prod
@@ -20,12 +19,11 @@ from operator import add, mul, sub
 
 from .errors import InputError, InternalLimitError
 from .intlinalg import ZEchelon
-from .repring import VirtualCharacter
 from .rootdata import (RootSystem, _check_level, _check_weight, _integer_form,
                        _lattice_points, _node_root, alcove_weights, chamber_walk,
-                       connected_type, full_weights, reflection_orbit,
-                       subsystem_positive_roots, weyl_orbit, weyl_order_of_type)
-from .sparse import Report, Sparse, addmul
+                       connected_type, subsystem_positive_roots, weyl_orbit,
+                       weyl_order_of_type)
+from .sparse import Report
 
 
 def face_subset(rs: RootSystem, nodes) -> tuple:
@@ -43,16 +41,6 @@ def face_subset(rs: RootSystem, nodes) -> tuple:
 def rho2(rs: RootSystem, subset: tuple) -> tuple:
     """Twice the half sum of the face subsystem's positive roots (integral)."""
     return tuple(map(sum, zip(*subsystem_positive_roots(rs, subset)))) or (0,) * rs.rank
-
-
-def rho_S(rs: RootSystem, subset) -> tuple:
-    """Half sum of the positive roots of the face centralizer.
-
-    Expressed in ambient weight coordinates; entries are exact rationals
-    and can be half-integral.
-    """
-    subset = face_subset(rs, subset)
-    return tuple(Fraction(x, 2) for x in rho2(rs, subset))
 
 
 def twist_order(rs: RootSystem, subset) -> int:
@@ -152,18 +140,6 @@ def _face_walk(rs: RootSystem, subset: tuple, k: int):
                         2 * k if 0 in subset else None)
 
 
-def regularize_affine(rs: RootSystem, subset, k: int, w):
-    """Reduce w + rho_S into the fundamental chamber of the face group.
-
-    Returns None when w + rho_S lies on a reflection wall, otherwise the
-    pair (label, sign) with label + rho_S strictly inside the chamber and
-    sign the determinant of the linear part of the group element used.
-    Validates the face and the weight, then runs the face's walk kernel;
-    internal callers holding a validated face call that kernel directly.
-    """
-    return _face_walk(rs, face_subset(rs, subset), k).walk(_check_weight(rs, w))
-
-
 def is_valid_label(rs: RootSystem, subset, k: int, mu) -> bool:
     """Whether mu + rho_S lies strictly inside the chamber of the face
     group at level k: whether the face's walk fixes mu."""
@@ -209,47 +185,6 @@ def enumerate_labels(rs: RootSystem, subset, k: int, bound: int) -> list:
     # strictly inside the linear walls: 2 mu_i + r2_i > 0
     low = [max(-bound, -r2[i] // 2 + 1) if i + 1 in subset else -bound for i in range(n)]
     return _lattice_points(comarks, low, bound, range(lo, hi + 1))
-
-
-class TwistedModuleElement(Sparse):
-    """Integer combination of chamber labels for one face and level."""
-
-    __slots__ = ("subset", "level")
-    _fields = ("subset", "level")
-    _mismatch = "cannot add elements of different modules"
-
-    def __init__(self, subset, level, terms=None):
-        self.subset = tuple(sorted(set(subset)))   # one face, one module
-        self.level = level
-        super().__init__(terms)
-
-    @classmethod
-    def label(cls, rs, subset, level, mu):
-        subset = face_subset(rs, subset)
-        mu = tuple(mu)
-        if not is_valid_label(rs, subset, level, mu):
-            raise InputError(f"{mu} is not a chamber label for face {subset}")
-        return cls(subset, _check_level(level), {mu: 1})
-
-
-def char_expansion(rs: RootSystem, c: VirtualCharacter) -> dict:
-    """Weight expansion of a virtual character inside the group ring."""
-    out = {}
-    for lam, coeff in c.terms.items():
-        addmul(out, full_weights(rs, lam), coeff)
-    return out
-
-
-def rg_multiply(rs: RootSystem, c: VirtualCharacter, x: TwistedModuleElement) -> TwistedModuleElement:
-    """Module action of a virtual character on an invariant-module element."""
-    for w in (*c.terms, *x.terms):
-        _check_weight(rs, w)
-    weights = char_expansion(rs, c)
-    kernel = _face_walk(rs, face_subset(rs, x.subset), x.level)
-    out = {}
-    for mu, a in x.terms.items():
-        kernel.signed_sum(weights, mu, a, out)
-    return TwistedModuleElement(x.subset, x.level, out)
 
 
 # A label's code is its level above one _WIDTH-bit field per coordinate,
@@ -534,54 +469,3 @@ def _search_basis(rs, subset, k, seeds, level_bound, lambda_bound, *, tagged):
         return [(i, orbits[lam], c) for (i, lam), c in combo.items()]
 
     return basis, solve if tagged else None
-
-
-# ---------------------------------------------------------------------------
-# explicit expansions inside the weight-lattice group ring
-
-def _shifted(a: dict, by) -> dict:
-    return {tuple(map(add, e, by)): c for e, c in a.items()}
-
-
-def _antisymmetrize(rs, subset, k, point2, order):
-    """Signed orbit of a regular doubled point under the level-k face group,
-    which must be a copy of the group, of the given order."""
-    orbit = reflection_orbit(rs, tuple(i - 1 for i in subset if i),
-                             2 * k if 0 in subset else None, point2)
-    if len(orbit) != order:
-        raise AssertionError(f"orbit of {point2} is not as large as the group of {subset}")
-    return orbit
-
-
-def _laurent_divide_exact(num: dict, den: dict) -> dict:
-    quob = {}
-    rem = dict(num)
-    lead = max(den)
-    lead_c = den[lead]
-    while rem:
-        top = max(rem)
-        shift = tuple(a - b for a, b in zip(top, lead))
-        if rem[top] % lead_c:
-            raise AssertionError("inexact antisymmetrizer division")
-        # every term the step adds is below top, so shift never returns
-        q = quob[shift] = rem[top] // lead_c
-        addmul(rem, _shifted(den, shift), -q)
-    return quob
-
-
-def module_element_expansion(rs: RootSystem, subset, k: int, mu) -> dict:
-    """Group-ring expansion of a basis label: the antisymmetrization of
-    mu + rho_S over the level-k face group divided by the level-0
-    antisymmetrization of rho_S.  A label on a wall of the face group
-    antisymmetrizes to zero, so its expansion is empty."""
-    subset = face_subset(rs, subset)
-    k, mu = _check_level(k), _check_weight(rs, mu)
-    if _face_walk(rs, subset, k).walk(mu) is None:
-        return {}
-    order = centralizer_info(rs, subset).weyl_order
-    num = _antisymmetrize(rs, subset, k, _beta2(rs, subset, mu), order)
-    den = _antisymmetrize(rs, subset, 0, rho2(rs, subset), order)
-    quo2 = _laurent_divide_exact(num, den)
-    if any(x % 2 for e in quo2 for x in e):
-        raise AssertionError("expansion landed outside the weight lattice")
-    return {tuple(x // 2 for x in e): c for e, c in quo2.items()}

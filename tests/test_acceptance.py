@@ -14,9 +14,9 @@ from fusionring import (FieldPoly, VirtualCharacter, alcove_weights, buchberger,
                         verify_presentation, verlinde_numeric_check)
 from fusionring.cli import G2_MODULE_BASES
 from fusionring.resolution import DEFAULT_PRIMES
-from fusionring.twisted import char_expansion, module_element_expansion
 
-from conftest import gepner_generators, laurent_add, laurent_mul, laurent_scale
+from conftest import (char_expansion, gepner_generators, laurent_add, laurent_mul,
+                      laurent_scale, module_element_expansion)
 
 G2_ALCOVE_COUNTS = {1: 2, 2: 4, 3: 6, 4: 9, 5: 12, 6: 16, 7: 20, 8: 25}
 

@@ -357,6 +357,82 @@ def test_the_row_operation_log_stays_in_intlinalg():
     assert {name for _, name in found} == private
 
 
+# Definitions that no program code calls, each kept for its reason
+KEPT_UNCALLED = {
+    "buchberger": "the Groebner engine's reduced basis, which the sympy oracle and "
+                  "the cross-route tests compare",
+    "normal_form": "division by a Groebner basis, the engine's reduction as tests call it",
+    "FieldPoly.leading": "a polynomial's lead through the engine's own monomial key, "
+                         "which test_packed_monomial_keys_stay_in_groebner keeps in groebner",
+    "fusion_product": "one product by the direct Kac-Walton formula, which fusion_table "
+                      "runs over shared walk tables; the single-product entry point",
+}
+
+
+def _program_index():
+    """({qualified name: (file, first line, last line)} of every top-level
+    function and class and every non-dunder method of the package, and
+    {name: [(file, line)]} of every name and attribute read in the package
+    and in bench/*.py)."""
+    defs, refs = {}, {}
+    paths = sorted(Path(fusionring.__file__).parent.glob("*.py"))
+    bench = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+    for path in paths + bench:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                refs.setdefault(name, []).append((path, node.lineno))
+        if path in bench:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs[node.name] = (path, node.lineno, node.end_lineno)
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    defs[f"{node.name}.{item.name}"] = (path, item.lineno, item.end_lineno)
+    return defs, refs
+
+
+def _unreferenced(keep=frozenset()):
+    """The definitions outside keep that nothing reads, found to a fixed
+    point: a read inside the definition itself, or inside a definition
+    already found, does not count."""
+    defs, refs = _program_index()
+    dead = set()
+    while True:
+        spans = [defs[q] for q in dead]
+
+        def read(q):
+            path, start, end = defs[q]
+            return any(not (p == path and start <= line <= end)
+                       and not any(p == dp and ds <= line <= de for dp, ds, de in spans)
+                       for p, line in refs.get(q.rsplit(".", 1)[-1], ()))
+
+        found = {q for q in defs if q not in dead | keep and not read(q)}
+        if not found:
+            return dead
+        dead |= found
+
+
+def test_src_defines_only_what_the_program_calls():
+    # every definition is read by the routes, the CLI or the benchmark;
+    # test oracles live in tests/conftest.py.  An exception must stay
+    # uncalled to stay listed
+    assert _unreferenced(keep=set(KEPT_UNCALLED)) == set()
+    assert _unreferenced() >= set(KEPT_UNCALLED)
+
+
+def test_src_defines_no_dominant_reduction_or_rational_pairing():
+    # full_weights reads each string step from its own output and the
+    # window order pairs on integers: the program neither reduces a weight
+    # to the dominant chamber nor pairs through the rational form.  The slow
+    # paths that do are conftest's oracles
+    defs, _ = _program_index()
+    assert not {q for q in defs if q.rsplit(".", 1)[-1] in {"dominant_reduce", "form_pair"}}
+
+
 def test_composite_primes_exit_two(capsys):
     for primes in ("4", "2,9", "2147483659"):
         code, _, err = run(capsys, ["verify-g2", "--level", "1", "--primes", primes])

@@ -32,7 +32,10 @@ def _sympy_basis(gens, nvars, modulus):
                 terms[e] = Fraction(int(c.p), int(c.q))
             else:
                 terms[e] = int(c) % modulus
-        out.append(FieldPoly(nvars, terms, modulus).monic())
+        poly = FieldPoly(nvars, terms, modulus)
+        lc = poly.leading()[1]
+        inv = 1 / lc if modulus is None else pow(lc, -1, modulus)
+        out.append(FieldPoly(nvars, {e: c * inv for e, c in poly.terms.items()}, modulus))
     return sorted(out, key=lambda g: grevlex_key(g.leading()[0]))
 
 

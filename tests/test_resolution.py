@@ -6,14 +6,16 @@ import pytest
 
 from fusionring import (FieldPoly, InputError, InternalLimitError, VirtualCharacter,
                         build_complex, build_root_system, centralizer_info,
-                        alcove_weights, cokernel_vs_oracle, d1_component,
+                        alcove_weights, cokernel_vs_oracle,
                         d_squared_check, enumerate_labels, extract_presentation,
-                        fold_weight, full_weights, g2_fusion_ideal_generators,
+                        full_weights, g2_fusion_ideal_generators,
                         in_fusion_ideal, quotient_codimension, to_polynomial,
                         verify_presentation)
-from fusionring import intlinalg, resolution, twisted
+from fusionring import fusion, intlinalg, resolution, twisted
 from fusionring.groebner import INFINITE, prime_codimensions
 from fusionring.resolution import DEFAULT_PRIMES, CokernelReport, D2Report
+
+from conftest import d1_component
 
 
 def test_complex_ranks(a1, g2):
@@ -36,45 +38,48 @@ def test_euler_characteristic_vanishes(name):
     assert spec.euler_characteristic() == 0
 
 
+def _coface(rs, subset, j, k, mu):
+    """The component of d1 into subset + {j} on mu, read off
+    resolution._cofaces: None on a wall, else (label, sign)."""
+    target = tuple(sorted(subset + (j,)))
+    kernel, sign = next((kn, s) for t, kn, s in resolution._cofaces(rs, subset, k)
+                        if t == target)
+    red = kernel.walk(mu)
+    return None if red is None else (red[0], red[1] * sign)
+
+
 def test_d1_even_level_displays(g2):
     # short-root edge into the orthogonal-pair vertex and the group vertex,
     # at an even level
     k = 2
-    assert d1_component(g2, (1,), 0, k, (1, 1)) is None
-    assert d1_component(g2, (1,), 2, k, (1, 1)) == ((1, 1), -1)
-    assert d1_component(g2, (1,), 0, k, (0, 2)) == ((0, 1), 1 * -1)
-    assert d1_component(g2, (1,), 2, k, (0, 2)) == ((0, 2), -1)
-    assert d1_component(g2, (1,), 0, k, (1, 2)) == ((1, 0), -1)
+    assert _coface(g2, (1,), 0, k, (1, 1)) is None
+    assert _coface(g2, (1,), 2, k, (1, 1)) == ((1, 1), -1)
+    assert _coface(g2, (1,), 0, k, (0, 2)) == ((0, 1), 1 * -1)
+    assert _coface(g2, (1,), 2, k, (0, 2)) == ((0, 2), -1)
+    assert _coface(g2, (1,), 0, k, (1, 2)) == ((1, 0), -1)
     # the three lifted labels map across unchanged
     for mu in [(0, 1), (1, 0), (0, 0)]:
-        assert d1_component(g2, (1,), 0, k, mu) == (mu, 1)
+        assert _coface(g2, (1,), 0, k, mu) == (mu, 1)
 
 
 def test_d1_odd_level_displays(g2):
     k = 3
-    assert d1_component(g2, (1,), 0, k, (0, 2)) is None
-    assert d1_component(g2, (1,), 0, k, (1, 2)) == ((1, 1), -1)
-    assert d1_component(g2, (1,), 0, k, (0, 3)) == ((0, 1), -1)
+    assert _coface(g2, (1,), 0, k, (0, 2)) is None
+    assert _coface(g2, (1,), 0, k, (1, 2)) == ((1, 1), -1)
+    assert _coface(g2, (1,), 0, k, (0, 3)) == ((0, 1), -1)
 
 
 def test_d1_long_edge_display(g2):
     # the top extension label of the long edge dies in the rank-two vertex
     for k in (2, 4):
-        assert d1_component(g2, (2,), 0, k, (k + 2, 0)) is None
-        assert d1_component(g2, (2,), 1, k, (k + 2, 0)) == ((k + 2, 0), -1)
-
-
-def test_d1_input_validation(g2):
-    with pytest.raises(InputError):
-        d1_component(g2, (1,), 1, 2, (0, 0))
-    with pytest.raises(InputError):
-        d1_component(g2, (1, 2), 0, 2, (0, 0))  # target is the full diagram
+        assert _coface(g2, (2,), 0, k, (k + 2, 0)) is None
+        assert _coface(g2, (2,), 1, k, (k + 2, 0)) == ((k + 2, 0), -1)
 
 
 @pytest.mark.parametrize("name,k", [("A3", 1), ("G2", 2)])
 def test_cofaces_match_d1_component(name, k):
     # each coface kernel's walk times its simplicial sign, against the
-    # validated path
+    # reference walk signed by the position of the added node
     rs = build_root_system(name)
     n = rs.rank
     for size in range(n + 1):
@@ -95,12 +100,12 @@ def test_cofaces_match_d1_component(name, k):
                 assert found == expected, (face, mu)
 
 
-def _image(rs, face, k, mu):
-    # (coface, label, coefficient) of d1 on one label, through the
-    # validated d1_component, cofaces in the order of the complement
+def _image(rs, face, k, mu, d1):
+    # (coface, label, coefficient) of d1 on one label, one component at a
+    # time, cofaces in the order of the complement
     for j in range(rs.rank + 1):
         if j not in face:
-            red = d1_component(rs, face, j, k, mu)
+            red = d1(rs, face, j, k, mu)
             if red is not None:
                 yield tuple(sorted(face + (j,))), red[0], red[1]
 
@@ -111,8 +116,8 @@ def _add(out, label, c):
         del out[label]
 
 
-def _d_squared_by_components(rs, k, level_bound=None):
-    # d o d label by label, every step through d1_component and no table
+def _d_squared_by_components(rs, k, level_bound=None, d1=d1_component):
+    # d o d label by label, every step through the reference d1 and no table
     if level_bound is None:
         level_bound = k + 2 * rs.dual_coxeter
     n = rs.rank
@@ -123,13 +128,13 @@ def _d_squared_by_components(rs, k, level_bound=None):
         for mu in enumerate_labels(rs, face, k, level_bound):
             report.labels_checked += 1
             total = {}
-            for target, label, c in _image(rs, face, k, mu):
+            for target, label, c in _image(rs, face, k, mu, d1):
                 for j in range(n + 1):
                     if j in target:
                         continue
                     dest = tuple(sorted(target + (j,)))
                     bucket = total.setdefault(dest, {})
-                    red = d1_component(rs, target, j, k, label)
+                    red = d1(rs, target, j, k, label)
                     if red is not None:
                         _add(bucket, red[0], red[1] * c)
             if any(total.values()):
@@ -140,26 +145,27 @@ def _d_squared_by_components(rs, k, level_bound=None):
 
 def _cokernel_by_components(rs, k, level_bound=None):
     # vertex labels and edge images folded one weight at a time through
-    # fold_weight, the edge images through d1_component
+    # the fold kernel, the edge images through the reference d1
     if level_bound is None:
         level_bound = k + 2 * rs.dual_coxeter
     n = rs.rank
     alcove = set(alcove_weights(rs, k))
+    fold = fusion._fold_kernel(rs, k).walk
     hit = set()
     vertex_count = edge_count = 0
     first_failure = ""
     for face in combinations(range(n + 1), n):
         for mu in enumerate_labels(rs, face, k, level_bound):
             vertex_count += 1
-            red = fold_weight(rs, mu, k)
+            red = fold(mu)
             if red is not None:
                 hit.add(red[0])
     for face in combinations(range(n + 1), n - 1):
         for mu in enumerate_labels(rs, face, k, level_bound):
             edge_count += 1
             total = {}
-            for _, label, c in _image(rs, face, k, mu):
-                red = fold_weight(rs, label, k)
+            for _, label, c in _image(rs, face, k, mu, d1_component):
+                red = fold(label)
                 if red is not None:
                     _add(total, red[0], red[1] * c)
             if total and not first_failure:
@@ -202,11 +208,17 @@ def test_d_squared_reports_a_flipped_sign(monkeypatch):
         (target, kernel, sign), *rest = found
         return ((target, kernel, -sign), *rest)
 
+    def flipped_d1(rs_, subset, j, k, mu):
+        # the first coface of (0, 2) adds node 1
+        red = d1_component(rs_, subset, j, k, mu)
+        return red if red is None or (subset, j) != ((0, 2), 1) else (red[0], -red[1])
+
     monkeypatch.setattr(resolution, "_cofaces", flipped)
     report = d_squared_check(rs, 1, level_bound=6)
     assert not report.passed
     assert {face for face, _, _ in report.violations} == {(0,), (2,)}
-    assert report.to_json_dict() == _d_squared_by_components(rs, 1, 6).to_json_dict()
+    assert report.to_json_dict() == \
+        _d_squared_by_components(rs, 1, 6, flipped_d1).to_json_dict()
 
 
 def test_d_squared_reports_a_dropped_image(monkeypatch):
@@ -230,10 +242,16 @@ def test_d_squared_reports_a_dropped_image(monkeypatch):
         return tuple((target, drop(kernel) if target == (0, 1, 2) else kernel, sign)
                      for target, kernel, sign in cofaces(rs_, subset, k))
 
+    def dropped_d1(rs_, subset, j, k, mu):
+        if tuple(sorted(subset + (j,))) == (0, 1, 2) and mu == victim:
+            return None
+        return d1_component(rs_, subset, j, k, mu)
+
     monkeypatch.setattr(resolution, "_cofaces", dropped)
     report = d_squared_check(rs, 1, level_bound=6)
     assert not report.passed
-    assert report.to_json_dict() == _d_squared_by_components(rs, 1, 6).to_json_dict()
+    assert report.to_json_dict() == \
+        _d_squared_by_components(rs, 1, 6, dropped_d1).to_json_dict()
 
 
 # Walks of the two complex checks on G2 at level 2: the second step of

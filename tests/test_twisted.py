@@ -9,18 +9,19 @@ from math import gcd
 
 import pytest
 
-from fusionring import (InputError, InternalLimitError, TwistedModuleElement, VirtualCharacter,
-                        alcove_weights, build_root_system, census, centralizer_info,
-                        d1_component, enumerate_labels, face_subset, find_module_basis,
-                        full_weights, module_element_expansion,
-                        regularize_affine, rg_multiply, rho_S, tensor_product,
+from fusionring import (InputError, InternalLimitError, VirtualCharacter, alcove_weights,
+                        build_root_system, census, centralizer_info, enumerate_labels,
+                        face_subset, find_module_basis, full_weights, tensor_product,
                         twist_order, verify_module_basis)
-from fusionring import twisted
+from fusionring import resolution, twisted
 from fusionring.intlinalg import ZEchelon
 from fusionring.rootdata import reflection_orbit, weyl_orbit
-from fusionring.twisted import char_expansion, is_valid_label, rho2, translation_weight
+from fusionring.twisted import is_valid_label, rho2, translation_weight
 
-from conftest import laurent_add, laurent_mul, laurent_scale, random_character
+import conftest
+from conftest import (TwistedModuleElement, char_expansion, form_pair, laurent_add,
+                      laurent_mul, laurent_scale, module_element_expansion, random_character,
+                      reflect, rg_multiply)
 
 ALL_SMALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -33,14 +34,15 @@ ALL_SMALL_TYPES = (
 
 
 def test_rho_s_examples(g2):
-    assert rho_S(g2, ()) == (Fraction(0), Fraction(0))
-    assert rho_S(g2, (1, 2)) == (Fraction(1), Fraction(1))
+    # rho2 is 2 rho_S, twice the half sum of the face's positive roots
+    assert rho2(g2, ()) == (0, 0)
+    assert rho2(g2, (1, 2)) == (2, 2)
     # orthogonal pair of the affine and the short simple root
-    assert rho_S(g2, (0, 1)) == (Fraction(1), Fraction(-1))
+    assert rho2(g2, (0, 1)) == (2, -2)
     # the two long simple roots span a rank-two subsystem with three positives
-    assert rho_S(g2, (0, 2)) == (Fraction(-3), Fraction(1))
+    assert rho2(g2, (0, 2)) == (-6, 2)
     # single short root gives a genuinely half-integral shift
-    assert rho_S(g2, (1,)) == (Fraction(1), Fraction(-1, 2))
+    assert rho2(g2, (1,)) == (2, -1)
 
 
 def test_twist_order_examples(g2):
@@ -176,13 +178,13 @@ def test_rho_s_orbit_is_the_face_group(name):
 
 def test_regularize_examples(g2, a1):
     # already a label
-    assert regularize_affine(g2, (0, 1), 1, (0, 0)) == ((0, 0), 1)
+    assert twisted._face_walk(g2, (0, 1), 1).walk((0, 0)) == ((0, 0), 1)
     # (0,1) + rho_S = (1,0) sits on the level-1 affine wall
-    assert regularize_affine(g2, (0, 1), 1, (0, 1)) is None
+    assert twisted._face_walk(g2, (0, 1), 1).walk((0, 1)) is None
     # rank one: shift crosses the affine wall once
-    assert regularize_affine(a1, (0,), 2, (4,)) == ((2,), -1)
+    assert twisted._face_walk(a1, (0,), 2).walk((4,)) == ((2,), -1)
     # wall case
-    assert regularize_affine(a1, (0,), 2, (3,)) is None
+    assert twisted._face_walk(a1, (0,), 2).walk((3,)) is None
 
 
 @pytest.mark.parametrize("name", ["G2", "C2"])
@@ -195,7 +197,8 @@ def test_regularize_sign_consistency(name):
         subset = face_subset(rs, rng.choice(faces))
         k = rng.randint(0, 3)
         w = tuple(rng.randint(-5, 5) for _ in range(rs.rank))
-        red = regularize_affine(rs, subset, k, w)
+        walk = twisted._face_walk(rs, subset, k).walk
+        red = walk(w)
         gen = rng.choice(subset)
         # apply one generator to w + rho_S and reduce again
         beta2 = tuple(2 * x + y for x, y in zip(w, rho2(rs, subset)))
@@ -204,9 +207,9 @@ def test_regularize_sign_consistency(name):
             beta2 = tuple(x + (2 * k - lev) * t
                           for x, t in zip(beta2, rs.highest_root))
         else:
-            beta2 = rs.reflect(gen, beta2)
+            beta2 = reflect(rs, gen, beta2)
         w2 = tuple((x - y) // 2 for x, y in zip(beta2, rho2(rs, subset)))
-        red2 = regularize_affine(rs, subset, k, w2)
+        red2 = walk(w2)
         if red is None:
             assert red2 is None
         elif w2 == w:
@@ -305,8 +308,8 @@ def test_module_element_expansion_of_a_large_face(monkeypatch):
     # classified once per expansion, for both antisymmetrizers
     a6 = build_root_system("A6")
     calls = []
-    info = twisted.centralizer_info
-    monkeypatch.setattr(twisted, "centralizer_info",
+    info = conftest.centralizer_info
+    monkeypatch.setattr(conftest, "centralizer_info",
                         lambda *args: calls.append(args) or info(*args))
     assert module_element_expansion(a6, range(1, 7), 0, (0,) * 6) == {(0,) * 6: 1}
     assert len(calls) == 1
@@ -314,7 +317,7 @@ def test_module_element_expansion_of_a_large_face(monkeypatch):
 
 def test_module_element_expansion_on_a_wall(g2):
     # (0, 1) + rho_S sits on the level-1 affine wall: the sum cancels
-    assert regularize_affine(g2, (0, 1), 1, (0, 1)) is None
+    assert twisted._face_walk(g2, (0, 1), 1).walk((0, 1)) is None
     assert module_element_expansion(g2, (0, 1), 1, (0, 1)) == {}
 
 
@@ -431,7 +434,7 @@ def test_face_walk_against_group_enumeration(name):
     for subset in _proper_faces(rs):
         for k in range(3):
             for w in ((a, b) for a in box for b in box):
-                assert regularize_affine(rs, subset, k, w) == \
+                assert twisted._face_walk(rs, subset, k).walk(w) == \
                     _walk_by_group(rs, subset, k, w), (subset, k, w)
 
 
@@ -464,12 +467,11 @@ def test_basis_calls_reject_a_negative_level(g2):
 
 @pytest.mark.parametrize("call", [
     lambda g2: is_valid_label(g2, (0, 1), -1, (0, -2)),
-    lambda g2: regularize_affine(g2, (0, 1), -1, (0, -2)),
-    lambda g2: d1_component(g2, (1,), 0, -1, (0, -2)),
+    lambda g2: twisted._face_walk(g2, (0, 1), -1),
+    lambda g2: resolution._cofaces(g2, (1,), -1),
     lambda g2: TwistedModuleElement.label(g2, (0, 1), -1, (0, -2)),
     lambda g2: module_element_expansion(g2, (0, 1), -1, (0, -2)),
-], ids=["is_valid_label", "regularize_affine", "d1_component", "label",
-        "module_element_expansion"])
+], ids=["is_valid_label", "_face_walk", "_cofaces", "label", "module_element_expansion"])
 def test_face_walks_reject_a_negative_level(g2, call):
     # each walks a face, and there is no alcove at a negative level
     with pytest.raises(InputError, match="level must be nonnegative"):
@@ -647,7 +649,7 @@ def _fraction_window_order(rs, subset, window, seeds):
 
     def distance(mu):
         diff = [x - c for x, c in zip(twisted._beta2(rs, subset, mu), center)]
-        return rs.form_pair(diff, diff)
+        return form_pair(rs, diff, diff)
 
     return sorted(window, key=lambda m: (distance(m), rs.level(m), m))
 
@@ -667,35 +669,6 @@ def test_window_order_matches_the_fraction_distance(name):
             for seeds in ((), vertex_bases[j]):
                 assert twisted._window_order(rs, subset, window, seeds) == \
                     _fraction_window_order(rs, subset, window, seeds), (subset, k, seeds)
-
-
-def test_weight_systems_and_search_skip_reduction_and_rational_pairing(g2, monkeypatch):
-    # full_weights reads each string step from its own output, and the
-    # window order pairs on integers: neither reduces a weight to the
-    # dominant chamber nor pairs through the rational form
-    from fusionring import rootdata
-    calls = {"dominant": 0, "form_pair": 0}
-    dominant, form_pair = rootdata.dominant_reduce, rootdata.RootSystem.form_pair
-
-    def counted_dominant(*args):
-        calls["dominant"] += 1
-        return dominant(*args)
-
-    def counted_form_pair(*args):
-        calls["form_pair"] += 1
-        return form_pair(*args)
-
-    monkeypatch.setattr(rootdata, "dominant_reduce", counted_dominant)
-    monkeypatch.setattr(rootdata.RootSystem, "form_pair", counted_form_pair)
-    full_weights.cache_clear()
-    assert sum(full_weights(g2, (6, 6)).values()) == 117649   # its dimension, 7^6
-    full_weights.cache_clear()
-    assert len(find_module_basis(g2, (0, 2), 2)) == centralizer_info(g2, (0, 2)).module_rank
-    assert calls == {"dominant": 0, "form_pair": 0}
-    # the counters see calls: the slow paths still go through them
-    rootdata.dominant_reduce(g2, (-1, 0))
-    rootdata.weyl_dimension(g2, (1, 0))
-    assert calls["dominant"] == 1 and calls["form_pair"] > 0
 
 
 # (group, top level, searches translated to a lower base level) over the
@@ -794,7 +767,7 @@ def test_labels_walk_to_themselves(name, levels):
     for subset in _proper_faces(rs):
         for k in levels:
             for mu in enumerate_labels(rs, subset, k, 3):
-                assert regularize_affine(rs, subset, k, mu) == (mu, 1), (subset, k)
+                assert twisted._face_walk(rs, subset, k).walk(mu) == (mu, 1), (subset, k)
 
 
 @pytest.mark.parametrize("name, levels", LABEL_BOXES)
