@@ -19,7 +19,8 @@ from .groebner import check_prime
 from .resolution import (DEFAULT_PRIMES, build_complex, cokernel_vs_oracle,
                          d_squared_check, extract_presentation,
                          g2_fusion_ideal_generators, verify_presentation)
-from .rootdata import alcove_weights, build_root_system
+from .rootdata import LieType, alcove_weights, build_root_system
+from .sparse import to_json
 from .twisted import census, verify_module_basis
 
 # the six module bases of the rank-two exceptional group, with face, level
@@ -38,11 +39,118 @@ G2_MODULE_BASES = (
 )
 
 
-def _emit(args, payload: dict, **texts):
-    """Write the JSON payload, or the text of the chosen format; a file
-    that cannot be written is invalid input."""
+def _weight_str(w):
+    return "(" + ",".join(map(str, w)) + ")"
+
+
+# Each handler returns (passed, fields, texts): whether its checks passed,
+# its payload entries with the reports as they are, and the text of each
+# format besides JSON.  main writes the chosen format.
+
+def cmd_fusion(args):
+    rs = build_root_system(args.group)
+    table = fusion_table(rs, args.level)
+    basis = alcove_weights(rs, args.level)
+    names = [_weight_str(w) for w in basis]
+    cells = {f"{a}*{b}": sorted([list(w), c] for w, c in table[(x, y)].terms.items())
+             for x, a in zip(basis, names) for y, b in zip(basis, names)}
+    buf = io.StringIO()
+    csv.writer(buf).writerows([[""] + names] + [
+        [a] + [json.dumps(cells[f"{a}*{b}"]) for b in names] for a in names])
+    md = ["| * | " + " | ".join(names) + " |", "|" + "---|" * (len(names) + 1)]
+    for a in names:
+        row = [" + ".join(f"{c}{_weight_str(w)}" for w, c in cells[f"{a}*{b}"]) or "0"
+               for b in names]
+        md.append(f"| {a} | " + " | ".join(row) + " |")
+    return True, {"basis": basis, "table": cells}, {
+        "csv": buf.getvalue(), "md": "\n".join(md) + "\n"}
+
+
+def cmd_verify_g2(args):
+    gens = g2_fusion_ideal_generators(args.level)
+    report = verify_presentation(build_root_system("G2"), args.level, gens,
+                                 primes=args.primes)
+    text = (f"G2 level {args.level}: verdict {report.verdict}, "
+            f"codim_Q={report.codim_q}, alcove={report.alcove_count}\n")
+    return report.passed, {"report": report}, {"md": text}
+
+
+def cmd_census(args):
+    rs = build_root_system(args.group)
+    entries = census(rs)
+    orders = {}
+    for e in entries:
+        bucket = orders.setdefault(e.twist_order, {"total": 0, "beyond_vertices": 0})
+        bucket["total"] += 1
+        if len(e.subset) < rs.rank:
+            bucket["beyond_vertices"] += 1
+    text = "".join([f"twisted modules of {rs.lie_type}: {len(entries)}\n"] + [
+        f"  S={list(e.subset)} type={e.centralizer_type} "
+        f"twist={e.twist_order} rank={e.module_rank}\n" for e in entries])
+    return True, {"entries": entries, "counts_by_twist_order": orders}, {"md": text}
+
+
+def cmd_complex(args):
+    rs = build_root_system(args.group)
+    spec = build_complex(rs, args.level)
+    d2 = d_squared_check(rs, args.level, level_bound=args.truncation)
+    cok = cokernel_vs_oracle(rs, args.level, level_bound=args.truncation)
+    text = (f"{rs.lie_type} level {args.level}: ranks={list(spec.ranks)} "
+            f"euler={spec.euler_characteristic()} d2={'ok' if d2.passed else 'FAIL'} "
+            f"cokernel={'ok' if cok.passed else 'FAIL'} rank={cok.fusion_rank}\n")
+    return d2.passed and cok.passed, {"complex": spec, "d_squared": d2,
+                                      "cokernel": cok}, {"md": text}
+
+
+def cmd_presentation(args):
+    rs = build_root_system(args.group)
+    if rs.rank > 2:
+        raise InputError("presentation extraction is desk-scale, rank 2 at most")
+    extraction = extract_presentation(rs, args.level, level_bound=args.truncation)
+    report = verify_presentation(rs, args.level, extraction.generators,
+                                 primes=args.primes)
+    text = (f"{rs.lie_type} level {args.level}: {len(extraction.generators)} generators "
+            f"(bound {extraction.generator_bound}), verdict {report.verdict}, "
+            f"codim_Q={report.codim_q}\n")
+    return report.passed, {"extraction": extraction, "report": report}, {"md": text}
+
+
+def cmd_bases_check(args):
+    if args.group.upper() != "G2":
+        raise InputError("the module-basis table is specific to G2")
+    rs = build_root_system("G2")
+    checks, lines, ok = [], [], True
+    for name, subset, level, labels, rank in G2_MODULE_BASES:
+        rep = verify_module_basis(rs, subset, level, labels,
+                                  level_bound=args.truncation)
+        ok = ok and rep.passed and rep.module_rank == rank
+        checks.append({"name": name, **rep.to_json_dict()})
+        lines.append(f"{name}: rank {rep.module_rank} "
+                     f"{'pass' if rep.passed else 'FAIL ' + rep.failure}\n")
+    return ok, {"checks": checks}, {"md": "".join(lines)}
+
+
+def cmd_verlinde(args):
+    rs = build_root_system(args.group)
+    report = verlinde_numeric_check(rs, args.level, tol=args.tol)
+    text = (f"{rs.lie_type} level {args.level}: max deviation "
+            f"{report.max_abs_deviation:.3e} ({'pass' if report.passed else 'FAIL'})\n")
+    return report.passed, {"report": report}, {"md": text}
+
+
+def _write(args, fields: dict, texts: dict):
+    """Write the JSON payload, or the text of the chosen format, to stdout
+    or --out; a file that cannot be written is invalid input.  The config
+    records the group (G2 for verify-g2, the one command without --group)
+    and the options that select the computation."""
     if args.format == "json":
-        out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        config = {"group": str(LieType.parse(getattr(args, "group", "G2"))),
+                  "format": args.format}
+        for option in ("level", "primes", "truncation"):
+            if getattr(args, option, None) is not None:
+                config[option] = getattr(args, option)
+        payload = {"tool": "fusionring", "version": __version__, "config": config, **fields}
+        out = json.dumps(to_json(payload), sort_keys=True, indent=2) + "\n"
     else:
         out = texts[args.format]
     if args.out:
@@ -53,140 +161,6 @@ def _emit(args, payload: dict, **texts):
             raise InputError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(out)
-
-
-def _base_payload(args, group: str, level=None) -> dict:
-    cfg = {"group": group, "format": args.format}
-    if level is not None:
-        cfg["level"] = level
-    if getattr(args, "primes", None):
-        cfg["primes"] = list(args.primes)
-    if getattr(args, "truncation", None) is not None:
-        cfg["truncation"] = args.truncation
-    return {"tool": "fusionring", "version": __version__, "config": cfg}
-
-
-def _weight_str(w):
-    return "(" + ",".join(map(str, w)) + ")"
-
-
-def cmd_fusion(args) -> int:
-    rs = build_root_system(args.group)
-    table = fusion_table(rs, args.level)
-    basis = alcove_weights(rs, args.level)
-    names = [_weight_str(w) for w in basis]
-    cells = {f"{a}*{b}": sorted([list(w), c] for w, c in table[(x, y)].terms.items())
-             for x, a in zip(basis, names) for y, b in zip(basis, names)}
-    payload = _base_payload(args, str(rs.lie_type), args.level)
-    payload.update({"basis": [list(w) for w in basis], "table": cells})
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([""] + names)
-    for a in names:
-        writer.writerow([a] + [json.dumps(cells[f"{a}*{b}"]) for b in names])
-    md = ["| * | " + " | ".join(names) + " |", "|" + "---|" * (len(names) + 1)]
-    for a in names:
-        row = [" + ".join(f"{c}{_weight_str(w)}" for w, c in cells[f"{a}*{b}"]) or "0"
-               for b in names]
-        md.append(f"| {a} | " + " | ".join(row) + " |")
-    _emit(args, payload, csv=buf.getvalue(), md="\n".join(md) + "\n")
-    return 0
-
-
-def cmd_verify_g2(args) -> int:
-    rs = build_root_system("G2")
-    gens = g2_fusion_ideal_generators(args.level)
-    report = verify_presentation(rs, args.level, gens, primes=args.primes)
-    payload = _base_payload(args, "G2", args.level)
-    payload["report"] = report.to_json_dict()
-    text = (f"G2 level {args.level}: verdict {report.verdict}, "
-            f"codim_Q={report.codim_q}, alcove={report.alcove_count}\n")
-    _emit(args, payload, md=text)
-    return 0 if report.passed else 1
-
-
-def cmd_census(args) -> int:
-    rs = build_root_system(args.group)
-    entries = census(rs)
-    orders = {}
-    for e in entries:
-        bucket = orders.setdefault(e.twist_order, {"total": 0, "beyond_vertices": 0})
-        bucket["total"] += 1
-        if len(e.subset) < rs.rank:
-            bucket["beyond_vertices"] += 1
-    payload = _base_payload(args, str(rs.lie_type))
-    payload.update({"entries": [e.to_json_dict() for e in entries],
-                    "counts_by_twist_order": {str(k): v for k, v in sorted(orders.items())}})
-    lines = [f"twisted modules of {rs.lie_type}: {len(entries)}"]
-    for e in entries:
-        lines.append(f"  S={list(e.subset)} type={e.centralizer_type} "
-                     f"twist={e.twist_order} rank={e.module_rank}")
-    _emit(args, payload, md="\n".join(lines) + "\n")
-    return 0
-
-
-def cmd_complex(args) -> int:
-    rs = build_root_system(args.group)
-    spec = build_complex(rs, args.level)
-    d2 = d_squared_check(rs, args.level, level_bound=args.truncation)
-    cok = cokernel_vs_oracle(rs, args.level, level_bound=args.truncation)
-    payload = _base_payload(args, str(rs.lie_type), args.level)
-    payload.update({"complex": spec.to_json_dict(), "d_squared": d2.to_json_dict(),
-                    "cokernel": cok.to_json_dict()})
-    ok = d2.passed and cok.passed
-    text = (f"{rs.lie_type} level {args.level}: ranks={list(spec.ranks)} "
-            f"euler={spec.euler_characteristic()} d2={'ok' if d2.passed else 'FAIL'} "
-            f"cokernel={'ok' if cok.passed else 'FAIL'} rank={cok.fusion_rank}\n")
-    _emit(args, payload, md=text)
-    return 0 if ok else 1
-
-
-def cmd_presentation(args) -> int:
-    rs = build_root_system(args.group)
-    if rs.rank > 2:
-        raise InputError("presentation extraction is desk-scale, rank 2 at most")
-    extraction = extract_presentation(rs, args.level, level_bound=args.truncation)
-    report = verify_presentation(rs, args.level, extraction.generators,
-                                 primes=args.primes)
-    payload = _base_payload(args, str(rs.lie_type), args.level)
-    payload.update({"extraction": extraction.to_json_dict(),
-                    "report": report.to_json_dict()})
-    text = (f"{rs.lie_type} level {args.level}: {len(extraction.generators)} generators "
-            f"(bound {extraction.generator_bound}), verdict {report.verdict}, "
-            f"codim_Q={report.codim_q}\n")
-    _emit(args, payload, md=text)
-    return 0 if report.passed else 1
-
-
-def cmd_bases_check(args) -> int:
-    if args.group.upper() != "G2":
-        raise InputError("the module-basis table is specific to G2")
-    rs = build_root_system("G2")
-    results = []
-    ok = True
-    for name, subset, level, labels, rank in G2_MODULE_BASES:
-        rep = verify_module_basis(rs, subset, level, labels,
-                                  level_bound=args.truncation)
-        ok = ok and rep.passed and rep.module_rank == rank
-        results.append((name, rep))
-    payload = _base_payload(args, "G2")
-    payload["checks"] = [{"name": name, **rep.to_json_dict()} for name, rep in results]
-    lines = [f"{name}: rank {rep.module_rank} "
-             f"{'pass' if rep.passed else 'FAIL ' + rep.failure}"
-             for name, rep in results]
-    _emit(args, payload, md="\n".join(lines) + "\n")
-    return 0 if ok else 1
-
-
-def cmd_verlinde(args) -> int:
-    rs = build_root_system(args.group)
-    report = verlinde_numeric_check(rs, args.level, tol=args.tol)
-    payload = _base_payload(args, str(rs.lie_type), args.level)
-    payload["report"] = report.to_json_dict()
-    text = (f"{rs.lie_type} level {args.level}: max deviation "
-            f"{report.max_abs_deviation:.3e} ({'pass' if report.passed else 'FAIL'})\n")
-    _emit(args, payload, md=text)
-    return 0 if report.passed else 1
 
 
 def _prime_list(text: str):
@@ -249,7 +223,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        passed, fields, texts = args.func(args)
+        _write(args, fields, texts)
+        return 0 if passed else 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

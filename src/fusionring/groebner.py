@@ -67,10 +67,6 @@ def check_primes(primes):
     return primes
 
 
-def _inverse(c, modulus):
-    return Fraction(1) / c if modulus is None else pow(c, -1, modulus)
-
-
 class FieldPoly:
     """Polynomial with a fixed variable count over Q (modulus None) or F_p.
 
@@ -172,10 +168,11 @@ def _element(lead, lc, tail, modulus, nvars):
     """A basis element: lead key, lead exponent (for lcms), and the tail
     scaled by 1/lc."""
     if lc != 1:
-        inv = _inverse(lc, modulus)
         if modulus is None:
+            inv = Fraction(1) / lc
             tail = [(t, c * inv) for t, c in tail]
         else:
+            inv = pow(lc, -1, modulus)
             tail = [(t, c * inv % modulus) for t, c in tail]
     return lead, _unpack(lead, nvars), tail
 

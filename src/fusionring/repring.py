@@ -56,10 +56,6 @@ def tensor_product(rs: RootSystem, x: VirtualCharacter, y: VirtualCharacter) -> 
     return VirtualCharacter(out)
 
 
-def _term_key(rs, w):
-    return (rs.level(w), w)
-
-
 def monomial_character(rs: RootSystem, exponents) -> VirtualCharacter:
     """Character of the monomial prod x_i^{e_i}, memoized per root system."""
     return _monomial(rs, _check_weight(rs, exponents))
@@ -86,7 +82,7 @@ def to_polynomial(rs: RootSystem, x: VirtualCharacter) -> PolyChar:
     rem = dict(x.terms)
     out = {}
     while rem:
-        w = max(rem, key=lambda t: _term_key(rs, t))
+        w = max(rem, key=lambda t: (rs.level(t), t))
         c = rem[w]
         addmul(out, {w: c})
         addmul(rem, monomial_character(rs, w).terms, -c)

@@ -18,7 +18,7 @@ from .fusion import _fold_kernel, in_fusion_ideal
 from .groebner import FieldPoly, check_primes, prime_codimensions, quotient_codimension
 from .repring import VirtualCharacter, to_polynomial
 from .rootdata import RootSystem, _WalkTable, _check_level, alcove_weights, rho_walk
-from .sparse import Report
+from .sparse import Report, addmul
 from .twisted import (_bounds, _face_walk, _search_basis, centralizer_info, enumerate_labels,
                       face_subset, find_module_basis, is_valid_label)
 
@@ -64,15 +64,6 @@ def _cofaces(rs, subset, k) -> tuple:
     complement = [j for j in range(rs.rank + 1) if j not in subset]
     targets = [tuple(sorted(subset + (j,))) for j in complement]
     return tuple((t, _face_walk(rs, t, k), (-1) ** s) for s, t in enumerate(targets))
-
-
-def _add(out, label, c):
-    """out[label] += c for a nonzero c, dropping the label at zero."""
-    v = out.get(label, 0) + c
-    if v:
-        out[label] = v
-    else:
-        del out[label]
 
 
 @dataclass
@@ -169,7 +160,7 @@ def _d_squared_total(first, second, mu) -> dict:
             bucket = total.setdefault(dest, {})
             red = table[label]
             if red is not None:
-                _add(bucket, red[0], red[1] * sign2 * c)
+                addmul(bucket, {red[0]: red[1] * sign2 * c})
     return total
 
 
@@ -222,7 +213,7 @@ def cokernel_vs_oracle(rs: RootSystem, k: int, level_bound: int | None = None) -
                     continue
                 folded = fold[red[0]]
                 if folded is not None:
-                    _add(total, folded[0], folded[1] * red[1] * sign)
+                    addmul(total, {folded[0]: folded[1] * red[1] * sign})
             if total and edge_ok:
                 edge_ok = False
                 first_failure = f"edge {face} label {mu} folds to {total}"

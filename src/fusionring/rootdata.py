@@ -16,21 +16,24 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 from operator import add, index, mul, sub
 
 from .errors import InputError
 
 Weight = tuple  # integer tuple in Dynkin coordinates
 
-_RANK_RANGE = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (3, None),
-    "E": (6, 8),
-    "F": (4, 4),
-    "G": (2, 2),
+# series: (lowest rank, highest rank or None, and at rank r the positive-root
+# count, the short-simple-root count and the Weyl group order)
+_SERIES = {
+    "A": (1, None, lambda r: (r * (r + 1) // 2, 0, factorial(r + 1))),
+    "B": (2, None, lambda r: (r * r, 1, 2 ** r * factorial(r))),
+    "C": (2, None, lambda r: (r * r, r - 1, 2 ** r * factorial(r))),
+    "D": (3, None, lambda r: (r * (r - 1), 0, 2 ** (r - 1) * factorial(r))),
+    "E": (6, 8, lambda r: {6: (36, 0, 51840), 7: (63, 0, 2903040),
+                           8: (120, 0, 696729600)}[r]),
+    "F": (4, 4, lambda r: (24, 2, 1152)),
+    "G": (2, 2, lambda r: (6, 1, 12)),
 }
 
 
@@ -42,9 +45,9 @@ class LieType:
     rank: int
 
     def __post_init__(self):
-        if self.series not in _RANK_RANGE:
+        if self.series not in _SERIES:
             raise InputError(f"unknown series {self.series!r}")
-        lo, hi = _RANK_RANGE[self.series]
+        lo, hi, _ = _SERIES[self.series]
         if not isinstance(self.rank, int) or self.rank < lo or (hi is not None and self.rank > hi):
             raise InputError(f"invalid rank {self.rank} for series {self.series}")
 
@@ -97,35 +100,17 @@ def _cartan_matrix(series: str, n: int) -> list[list[int]]:
     return a
 
 
-_WEYL_ORDER_EXC = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
-                   ("F", 4): 1152, ("G", 2): 12}
-
-
 def weyl_order_of_type(series: str, rank: int) -> int:
-    import math
-    if series == "A":
-        return math.factorial(rank + 1)
-    if series in ("B", "C"):
-        return (1 << rank) * math.factorial(rank)
-    if series == "D":
-        return (1 << (rank - 1)) * math.factorial(rank)
-    return _WEYL_ORDER_EXC[(series, rank)]
-
-
-# (positive roots, short simple roots) of each series at rank r
-_ROOT_COUNTS = {"A": lambda r: (r * (r + 1) // 2, 0), "B": lambda r: (r * r, 1),
-                "C": lambda r: (r * r, r - 1), "D": lambda r: (r * (r - 1), 0),
-                "E": lambda r: ({6: 36, 7: 63, 8: 120}[r], 0),
-                "F": lambda r: (24, 2), "G": lambda r: (6, 1)}
+    return _SERIES[series][2](rank)[2]
 
 
 def connected_type(rank: int, roots: int, shorts: int) -> tuple:
     """(series, rank) of the connected Dynkin diagram with rank nodes,
     roots positive roots and shorts short simple roots: these counts fix a
-    simple type.  Series are tried in _RANK_RANGE order at the ranks each
+    simple type.  Series are tried in _SERIES order at the ranks each
     allows, so of the coincidences C2 = B2 and D3 = A3 the first is named."""
-    for series, (lo, hi) in _RANK_RANGE.items():
-        if lo <= rank <= (hi or rank) and _ROOT_COUNTS[series](rank) == (roots, shorts):
+    for series, (lo, hi, counts) in _SERIES.items():
+        if lo <= rank <= (hi or rank) and counts(rank)[:2] == (roots, shorts):
             return series, rank
     raise AssertionError(f"no connected type of rank {rank} has {roots} positive "
                          f"roots and {shorts} short simple roots")

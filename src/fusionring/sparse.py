@@ -9,7 +9,7 @@ report and of everything a report holds.
 """
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 
 from .errors import InputError
 
@@ -105,14 +105,10 @@ class Sparse:
 
 
 def to_json(value):
-    """The JSON form of a value: a dataclass maps each field, under its name
-    or its ``metadata["json"]``, to the form of its value; a ``Sparse``
-    element gives its own; tuples and lists become lists and dict keys
+    """The JSON form of a value: a report or a ``Sparse`` element gives its
+    own (``to_json_dict``); tuples and lists become lists and dict keys
     strings."""
-    if is_dataclass(value):
-        return {f.metadata.get("json", f.name): to_json(getattr(value, f.name))
-                for f in fields(value)}
-    if isinstance(value, Sparse):
+    if isinstance(value, (Report, Sparse)):
         return value.to_json_dict()
     if isinstance(value, (tuple, list)):
         return [to_json(v) for v in value]
@@ -122,7 +118,9 @@ def to_json(value):
 
 
 class Report:
-    """A report dataclass, written to JSON field by field by ``to_json``."""
+    """A report dataclass.  Its JSON form maps each field, under its name or
+    its ``metadata["json"]``, to the form of its value."""
 
     def to_json_dict(self):
-        return to_json(self)
+        return {f.metadata.get("json", f.name): to_json(getattr(self, f.name))
+                for f in fields(self)}

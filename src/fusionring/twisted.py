@@ -77,16 +77,6 @@ def classify_centralizer(rs: RootSystem, subset) -> tuple:
     return tuple(sorted(types, key=lambda t: (-t[1], t[0])))
 
 
-def centralizer_type_string(types) -> str:
-    if not types:
-        return "T"
-    return "+".join(f"{s}{r}" for s, r in types)
-
-
-def centralizer_weyl_order(types) -> int:
-    return prod(weyl_order_of_type(s, r) for s, r in types)
-
-
 @dataclass(frozen=True)
 class CentralizerInfo(Report):
     subset: tuple
@@ -99,11 +89,11 @@ class CentralizerInfo(Report):
 def centralizer_info(rs: RootSystem, subset) -> CentralizerInfo:
     subset = face_subset(rs, subset)
     types = classify_centralizer(rs, subset)
-    worder = centralizer_weyl_order(types)
+    worder = prod(weyl_order_of_type(s, r) for s, r in types)
     if rs.weyl_order % worder:
         raise AssertionError("centralizer Weyl order must divide the full order")
     return CentralizerInfo(subset=subset,
-                           centralizer_type=centralizer_type_string(types),
+                           centralizer_type="+".join(f"{s}{r}" for s, r in types) or "T",
                            weyl_order=worder,
                            module_rank=rs.weyl_order // worder,
                            twist_order=twist_order(rs, subset))

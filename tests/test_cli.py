@@ -200,9 +200,9 @@ def test_internal_limit_messages_name_a_bound():
 
 
 def test_commands_read_exactly_their_options():
-    # each command's handler reads every option it declares and no other,
-    # apart from --format and --out, which _emit reads; the parser offers
-    # each command exactly its declared options and formats
+    # each command's handler reads every option it declares and no other
+    # (main's writer reads --format and --out); the parser offers each
+    # command exactly its declared options and formats
     import inspect
     import fusionring.cli as cli
     parser = cli.build_parser()
@@ -210,11 +210,10 @@ def test_commands_read_exactly_their_options():
         nodes = list(ast.walk(ast.parse(inspect.getsource(handler))))
         read = {node.attr for node in nodes if isinstance(node, ast.Attribute)
                 and getattr(node.value, "id", None) == "args"}
-        assert set(options) <= read, name
-        assert read - set(options) <= {"format", "out"}, name
-        # the texts handed to _emit are exactly the formats besides JSON
-        texts = {kw.arg for node in nodes if isinstance(node, ast.Call)
-                 and getattr(node.func, "id", None) == "_emit" for kw in node.keywords}
+        assert read == set(options), name
+        # the texts a handler returns are exactly its formats besides JSON
+        texts = {key.value for node in nodes if isinstance(node, ast.Return)
+                 for key in node.value.elts[2].keys}
         assert texts == set(formats) - {"json"}, name
         argv = [name]
         for option in options:
@@ -467,6 +466,25 @@ GOLDEN_CORPUS = (
      "72aac71a3dcd39730c9cd868ef07b66391611a3bca8804c043890a067c1bcb2f"),
     ("bases-check --group G2",
      "72de9f36ce2e0da8e482e960caf94db056c8906ef66490fa2c5df8b31b50cbbf"),
+    # the text formats of the same command lines
+    ("fusion --group G2 --level 3 --format md",
+     "5b450543ba30e2da1a9b11e6c1384138d7862f23746f7690bc17eca09cb0314f"),
+    ("fusion --group G2 --level 3 --format csv",
+     "65c9be408e83a4a6746a5e7f59ec4461e2102dd93e39effb29b7537cf85525dd"),
+    ("census --group E8 --format md",
+     "15c746432840e492d30a7af71dfb60ed7c3e91413db68fb8f8d15a2ec8484add"),
+    ("complex --group A2 --level 2 --format md",
+     "839bd4937a85054c0c91a93e2b3c566aec8a226c443faf115d167ccd7a713bb8"),
+    ("complex --group B3 --level 1 --format md",
+     "347ded30a0b6ef1fc6de9ae966ee849b0f18068218cf173f50a9cfd46fe21e74"),
+    ("presentation --group A1 --level 3 --format md",
+     "0009eabb9d88d81878d2f7acaece328ffcfaa29da9aab517cdc0ec32c3a53782"),
+    ("presentation --group B2 --level 1 --format md",
+     "fd28e31fafa9cae8e8c895a87b601d4e67fe5a19e9c2aab97b1e1473166f1fb6"),
+    ("verify-g2 --level 3 --format md",
+     "5bdfab8bee1e04ee9a2eb807781efccd9c56b6be25e44c51b45520b6301c2288"),
+    ("bases-check --group G2 --format md",
+     "bd36f985003281386196150b9ad8569fa6844ff80ed61deaeab7b71dc89fda1c"),
 )
 
 

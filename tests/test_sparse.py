@@ -117,3 +117,31 @@ def test_json_layout():
         "subset": [0, 2], "level": 1, **key}
     back = _read_back(FusionElement, {"level": 4, **key})
     assert back.level == 4 and back.terms == terms
+
+
+def test_every_report_has_one_json_form():
+    # to_json of a report is its to_json_dict, also for the two reports that
+    # add a value no field stores (ComplexSpec's Euler characteristic and
+    # D2Report's violations, written as strings)
+    from fusionring import (build_complex, build_root_system, centralizer_info,
+                            cokernel_vs_oracle, d_squared_check, extract_presentation,
+                            find_module_basis, verify_module_basis, verify_presentation,
+                            verlinde_numeric_check)
+    from fusionring.resolution import D2Report
+    from fusionring.sparse import Report, to_json
+    a1, g2 = build_root_system("A1"), build_root_system("G2")
+    extraction = extract_presentation(a1, 2)
+    violation = ((0,), (1, 0), {(0, 1): {(2, 0): -1}, (1, 2): {}})
+    reports = [
+        verlinde_numeric_check(a1, 2), build_complex(g2, 1), d_squared_check(g2, 1),
+        D2Report("G2", 1, 1, 1, 1, False, [violation]), cokernel_vs_oracle(a1, 2),
+        extraction, verify_presentation(a1, 2, extraction.generators, primes=(2,)),
+        centralizer_info(g2, (0, 2)),
+        verify_module_basis(g2, (0, 2), 2, find_module_basis(g2, (0, 2), 2)),
+    ]
+    assert {type(r) for r in reports} == set(Report.__subclasses__())
+    for r in reports:
+        assert to_json(r) == r.to_json_dict(), type(r).__name__
+        assert to_json([r]) == [r.to_json_dict()]
+    assert to_json(reports[1])["euler_characteristic"] == 0
+    assert to_json(reports[3])["violations"] == [str(violation)]
