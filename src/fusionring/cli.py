@@ -116,9 +116,9 @@ def cmd_presentation(args):
 
 
 def cmd_bases_check(args):
-    if args.group.upper() != "G2":
+    rs = build_root_system(args.group)
+    if rs.lie_type != LieType("G", 2):
         raise InputError("the module-basis table is specific to G2")
-    rs = build_root_system("G2")
     checks, lines, ok = [], [], True
     for name, subset, level, labels, rank in G2_MODULE_BASES:
         rep = verify_module_basis(rs, subset, level, labels,

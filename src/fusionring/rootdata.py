@@ -58,9 +58,10 @@ class LieType:
         if len(name) < 2 or not name[0].isalpha():
             raise InputError(f"cannot parse group name {name!r}")
         try:
-            return cls(name[0].upper(), int(name[1:]))
+            rank = int(name[1:])
         except ValueError as exc:
             raise InputError(f"cannot parse group name {name!r}") from exc
+        return cls(name[0].upper(), rank)
 
     def __str__(self):
         return f"{self.series}{self.rank}"
@@ -142,7 +143,6 @@ class RootSystem:
     """
 
     lie_type: LieType
-    cartan_inv: tuple             # exact rational inverse of the Cartan matrix
     simple_roots: tuple           # the rows of the Cartan matrix
     positive_roots: tuple         # weight coordinates
     positive_root_coords: tuple   # coefficients over the simple roots
@@ -171,37 +171,30 @@ class RootSystem:
         return f"RootSystem({self.lie_type})"
 
 
-def _positive_roots(cartan):
-    n = len(cartan)
-    simple = [tuple(cartan[i]) for i in range(n)]
-    unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    known = {unit[i]: simple[i] for i in range(n)}
-    layer = list(unit)
-    while layer:
+def _positive_system(simples, pair):
+    """The positive roots over the given simple roots as (root, coefficients)
+    pairs, by height, then coefficients; pair(beta) gives beta's pairings
+    with the simple coroots.  The simple roots are closed under
+    s_i beta = beta - <beta, alpha_i^vee> alpha_i where that pairing is
+    negative: a positive non-simple root pairs positively with some alpha_i
+    and s_i takes it to a positive root of smaller height, so every positive
+    root is reached (Humphreys, Introduction to Lie Algebras, section 10.2)."""
+    n = len(simples)
+    found = {tuple(a): tuple(int(i == j) for j in range(n)) for i, a in enumerate(simples)}
+    frontier = list(found)
+    while frontier:
         nxt = []
-        for rc in layer:
-            wt = known[rc]
-            for i in range(n):
-                # alpha_i-string through wt: p steps down already known
-                p = 0
-                down = list(rc)
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in known:
-                        break
-                    p += 1
-                if p - wt[i] >= 1:
-                    up = list(rc)
-                    up[i] += 1
-                    key = tuple(up)
-                    if key not in known:
-                        known[key] = tuple(a + b for a, b in zip(wt, simple[i]))
-                        nxt.append(key)
-        layer = nxt
-    items = sorted(known.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    coords = tuple(k for k, _ in items)
-    weights = tuple(v for _, v in items)
-    return weights, coords
+        for beta in frontier:
+            for i, c in enumerate(pair(beta)):
+                if c < 0:
+                    root = tuple([x - c * a for x, a in zip(beta, simples[i])])
+                    if root not in found:
+                        coeffs = list(found[beta])
+                        coeffs[i] -= c
+                        found[root] = tuple(coeffs)
+                        nxt.append(root)
+        frontier = nxt
+    return sorted(found.items(), key=lambda rc: (sum(rc[1]), rc[1]))
 
 
 def _symmetrizer(cartan):
@@ -229,14 +222,10 @@ def _build(series: str, rank: int) -> RootSystem:
     d = _symmetrizer(cartan)
     # form on fundamental weights: F = A^{-1} diag(d)
     form = tuple(tuple(cartan_inv[i][j] * d[j] for j in range(n)) for i in range(n))
-    pos_w, pos_c = _positive_roots(cartan)
-
-    def norm2(w):
-        return sum(w[i] * form[i][j] * w[j] for i in range(n) for j in range(n))
-
-    dominant = [(w, c) for w, c in zip(pos_w, pos_c) if all(x >= 0 for x in w)]
-    theta, theta_c = max(dominant, key=lambda wc: norm2(wc[0]))
-    if norm2(theta) != 2:
+    # in Dynkin coordinates a weight is its own list of simple-coroot pairings
+    pos_w, pos_c = zip(*_positive_system(cartan, lambda beta: beta))
+    theta, theta_c = pos_w[-1], pos_c[-1]   # the one root of greatest height
+    if sum(theta[i] * form[i][j] * theta[j] for i in range(n) for j in range(n)) != 2:
         raise AssertionError("highest-root normalization failed")
     marks = (1,) + tuple(theta_c)
     comarks = [Fraction(1)] + [m * d[i] for i, m in enumerate(theta_c)]
@@ -244,9 +233,8 @@ def _build(series: str, rank: int) -> RootSystem:
         raise AssertionError("comarks must be integers")
     comarks = tuple(int(c) for c in comarks)
     hvee = sum(comarks)
-    rs = RootSystem(
+    return RootSystem(
         lie_type=t,
-        cartan_inv=cartan_inv,
         simple_roots=tuple(tuple(row) for row in cartan),
         positive_roots=pos_w,
         positive_root_coords=pos_c,
@@ -260,7 +248,6 @@ def _build(series: str, rank: int) -> RootSystem:
         root_lengths=d,
         weyl_order=weyl_order_of_type(series, rank),
     )
-    return rs
 
 
 def build_root_system(t) -> RootSystem:
@@ -315,24 +302,19 @@ def _node_root(rs: RootSystem, i: int):
     return rs.affine_root if i == 0 else rs.simple_roots[i - 1]
 
 
+def _node_pairings(rs: RootSystem, beta, nodes) -> tuple:
+    """The pairings of beta with the coroots of affine Dynkin nodes; the
+    coroot of node 0 is -theta^vee, so beta pairs with it to -level(beta)."""
+    return tuple(-rs.level(beta) if j == 0 else beta[j - 1] for j in nodes)
+
+
 @lru_cache(maxsize=None)
 def subsystem_positive_roots(rs: RootSystem, subset: tuple) -> tuple:
     """Positive roots of the subsystem on a set of affine Dynkin nodes, in
-    its own simple system."""
+    its own simple system, sorted."""
     simples = [_node_root(rs, i) for i in subset]
-    all_roots = set(rs.positive_roots) | {tuple(-x for x in w) for w in rs.positive_roots}
-    found = set(simples)
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for s in simples:
-                cand = tuple(a + b for a, b in zip(r, s))
-                if cand in all_roots and cand not in found:
-                    found.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return tuple(sorted(found))
+    system = _positive_system(simples, lambda beta: _node_pairings(rs, beta, subset))
+    return tuple(sorted(root for root, _ in system))
 
 
 ChamberWalk = namedtuple("ChamberWalk", "walk signed_sum")
@@ -583,8 +565,10 @@ def full_weights(rs: RootSystem, highest: Weight) -> dict:
     """Every weight of the irrep with a dominant highest weight lam, with
     its multiplicity, by Freudenthal's formula on the full weight lattice.
 
-    The dominant mu <= lam are enumerated in a box of simple-root
-    coefficients of lam - mu and taken in increasing height of lam - mu.
+    The dominant mu <= lam are those reached from lam by subtracting
+    positive roots while the result stays dominant (Stembridge, "The
+    partial order of dominant weights", Adv. Math. 136, 1998); they are
+    taken in increasing height of lam - mu.
     The multiplicity of mu is
     2 sum_{alpha > 0} sum_{j >= 1} m(mu + j alpha) (mu + j alpha, alpha)
     divided by (lam + rho)^2 - (mu + rho)^2.  Every mu + j alpha lies in
@@ -612,23 +596,17 @@ def full_weights(rs: RootSystem, highest: Weight) -> dict:
     def norm(v):
         return sum(x * sum(map(mul, row, v)) for x, row in zip(v, gram) if x)
 
-    # a dominant mu has nonnegative simple-root coefficients, so those of
-    # lam bound those of lam - mu
-    bounds = [int(sum(x * row[j] for x, row in zip(lam, rs.cartan_inv))) for j in range(n)]
-    candidates = []
-    roots = rs.simple_roots
-    # box walk keeping mu = lam - sum c_j alpha_j exact at every node
-    stack = [(0, 0, lam)]
+    # the dominant mu <= lam, each with the height of lam - mu
+    steps = [(alpha, sum(c)) for alpha, c in zip(rs.positive_roots, rs.positive_root_coords)]
+    heights, stack = {lam: 0}, [lam]
     while stack:
-        j, height, mu = stack.pop()
-        if j == n:
-            if all(x >= 0 for x in mu):
-                candidates.append((height, mu))
-            continue
-        for c in range(bounds[j] + 1):
-            stack.append((j + 1, height + c, mu))
-            mu = tuple(map(sub, mu, roots[j]))
-    candidates.sort()
+        mu = stack.pop()
+        for alpha, height in steps:
+            nu = tuple(map(sub, mu, alpha))
+            if min(nu) >= 0 and nu not in heights:
+                heights[nu] = heights[mu] + height
+                stack.append(nu)
+    candidates = sorted((height, mu) for mu, height in heights.items())
     strings = []
     for alpha in rs.positive_roots:
         g_alpha = tuple(sum(map(mul, row, alpha)) for row in gram)

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd, prod
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 from .errors import InputError, InternalLimitError
 from .intlinalg import ZEchelon
 from .rootdata import (RootSystem, _check_level, _check_weight, _integer_form,
-                       _lattice_points, _node_root, alcove_weights, chamber_walk,
-                       connected_type, subsystem_positive_roots, weyl_orbit,
+                       _lattice_points, _node_pairings, _node_root, alcove_weights,
+                       chamber_walk, connected_type, subsystem_positive_roots, weyl_orbit,
                        weyl_order_of_type)
 from .sparse import Report
 
@@ -49,14 +49,6 @@ def twist_order(rs: RootSystem, subset) -> int:
     return gcd(*(rs.comarks[i] for i in range(rs.rank + 1) if i not in subset))
 
 
-def _pairing(rs, i: int, j: int) -> int:
-    """Cartan pairing of affine-diagram nodes i over the coroot of j."""
-    root = _node_root(rs, i)
-    if j == 0:
-        return -rs.level(root)
-    return root[j - 1]
-
-
 def classify_centralizer(rs: RootSystem, subset) -> tuple:
     """Irreducible component types of the face subsystem, largest first.
 
@@ -66,7 +58,7 @@ def classify_centralizer(rs: RootSystem, subset) -> tuple:
     subset = face_subset(rs, subset)
     comps = []
     for i in subset:
-        linked = [c for c in comps if any(_pairing(rs, i, j) for j in c)]
+        linked = [c for c in comps if any(_node_pairings(rs, _node_root(rs, i), c))]
         comps = [c for c in comps if c not in linked] + [tuple(sorted(sum(linked, (i,))))]
     length = {0: 1, **dict(enumerate(rs.root_lengths, 1))}
     types = []
@@ -141,12 +133,14 @@ def is_valid_label(rs: RootSystem, subset, k: int, mu) -> bool:
 def _bounds(rs, k, level_bound=None, lambda_bound=None):
     """Check the level and the truncation bounds and fill in their defaults.
 
-    The level must be a nonnegative integer, an explicit level_bound at
-    least the level and an explicit lambda_bound nonnegative.  By default
-    level_bound = k + 2 h^vee and lambda_bound = level_bound + h^vee + k,
-    k the base level when a search calls.  Returns (k as an int,
-    level_bound, lambda_bound)."""
+    The level must be a nonnegative integer, an explicit level_bound an
+    integer at least the level and an explicit lambda_bound a nonnegative
+    integer.  By default level_bound = k + 2 h^vee and lambda_bound =
+    level_bound + h^vee + k, k the base level when a search calls.  Returns
+    (k, level_bound, lambda_bound) as ints."""
     k = _check_level(k)
+    level_bound, lambda_bound = (_integral(level_bound, "level_bound"),
+                                 _integral(lambda_bound, "lambda_bound"))
     if level_bound is None:
         level_bound = k + 2 * rs.dual_coxeter
     elif level_bound < k:
@@ -156,6 +150,14 @@ def _bounds(rs, k, level_bound=None, lambda_bound=None):
     elif lambda_bound < 0:
         raise InputError("lambda_bound must be nonnegative")
     return k, level_bound, lambda_bound
+
+
+def _integral(bound, name):
+    """An explicit bound as an int (None stays None), else an InputError."""
+    try:
+        return None if bound is None else index(bound)
+    except TypeError:
+        raise InputError(f"{name} {bound!r} is not an integer") from None
 
 
 def enumerate_labels(rs: RootSystem, subset, k: int, bound: int) -> list:

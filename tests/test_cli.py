@@ -356,6 +356,24 @@ def test_the_row_operation_log_stays_in_intlinalg():
     assert {name for _, name in found} == private
 
 
+def test_one_root_enumerator():
+    # rootdata._positive_system is the one search for positive roots: the
+    # whole system (_build) and the face subsystems call it.  A root system
+    # stores no inverse Cartan matrix and no module reads one
+    calls, reads = [], []
+    for path in sorted(Path(fusionring.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                calls += [(path.stem, fn.name) for node in ast.walk(fn)
+                          if isinstance(node, ast.Call) and _call_name(node) == "_positive_system"]
+        reads += [(path.stem, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "cartan_inv"]
+    assert sorted(calls) == [("rootdata", "_build"), ("rootdata", "subsystem_positive_roots")]
+    assert reads == []
+    assert "cartan_inv" not in fusionring.RootSystem.__dataclass_fields__
+
+
 # Definitions that no program code calls, each kept for its reason
 KEPT_UNCALLED = {
     "buchberger": "the Groebner engine's reduced basis, which the sympy oracle and "
@@ -430,6 +448,22 @@ def test_src_defines_no_dominant_reduction_or_rational_pairing():
     # paths that do are conftest's oracles
     defs, _ = _program_index()
     assert not {q for q in defs if q.rsplit(".", 1)[-1] in {"dominant_reduce", "form_pair"}}
+
+
+def test_bases_check_parses_its_group(capsys):
+    # it compared the raw text with "G2": " G2" and "G02" exited 2 and X9
+    # was called a group other than G2
+    digest = dict(GOLDEN_CORPUS)["bases-check --group G2 --format md"]
+    for group in (" G2", "G02"):
+        code, out, _ = run(capsys, ["bases-check", "--group", group, "--format", "md"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, group
+    code, out, err = run(capsys, ["bases-check", "--group", "X9"])
+    assert code == 2 and not out
+    assert "unknown series 'X'" in err
+    code, _, err = run(capsys, ["bases-check", "--group", "A2"])
+    assert code == 2
+    assert "specific to G2" in err
 
 
 def test_composite_primes_exit_two(capsys):

@@ -17,7 +17,7 @@ from fusionring import fusion, twisted
 from fusionring.sparse import to_json
 from fusionring.rootdata import (_check_level, _check_weight, chamber_walk,
                                  connected_type, reflection_orbit, rho_walk,
-                                 weyl_orbit_signed)
+                                 subsystem_positive_roots, weyl_orbit_signed)
 from fusionring.twisted import (centralizer_info, classify_centralizer, is_valid_label,
                                 rho2)
 
@@ -126,6 +126,64 @@ def _det(m):
             f = m[r][c] * inv
             m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return det
+
+
+@pytest.mark.parametrize("series,rank", ALL_SMALL_TYPES)
+def test_positive_roots_are_a_closed_system_in_height_order(series, rank):
+    # each root is its coefficients applied to the simple roots, heights
+    # never decrease, theta comes last, and every simple reflection maps the
+    # positive roots into the roots
+    rs = build_root_system(f"{series}{rank}")
+    roots = set(rs.positive_roots)
+    assert len(roots) == len(rs.positive_roots) == len(rs.positive_root_coords)
+    for root, coeffs in zip(rs.positive_roots, rs.positive_root_coords):
+        assert min(coeffs) >= 0
+        combo = [sum(c * a[j] for c, a in zip(coeffs, rs.simple_roots)) for j in range(rank)]
+        assert tuple(combo) == root
+    heights = [sum(c) for c in rs.positive_root_coords]
+    assert heights == sorted(heights) and heights.count(heights[-1]) == 1
+    assert rs.positive_roots[-1] == rs.highest_root
+    for i in range(1, rank + 1):
+        for root in roots:
+            image = reflect(rs, i, root)
+            assert image in roots or tuple(-x for x in image) in roots, (i, root)
+
+
+def _solve(columns, target):
+    """The unique rational x with sum_j x_j columns[j] = target, or None:
+    Gauss-Jordan elimination on linearly independent columns."""
+    m = len(columns)
+    rows = [[Fraction(col[i]) for col in columns] + [Fraction(target[i])]
+            for i in range(len(target))]
+    for col in range(m):
+        piv = next(r for r in range(col, len(rows)) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(len(rows)):
+            if r != col and rows[r][col]:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    if any(row[m] for row in rows[m:]):
+        return None
+    return [row[m] for row in rows[:m]]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3",
+                                  "C4", "D4", "F4", "G2"])
+def test_face_roots_match_a_rational_solve(name):
+    # the positive roots of a face are the roots of the whole system whose
+    # coefficients over the face's node roots are nonnegative integers
+    rs = build_root_system(name)
+    n = rs.rank
+    roots = list(rs.positive_roots) + [tuple(-x for x in r) for r in rs.positive_roots]
+    for mask in range(2 ** (n + 1) - 1):
+        subset = tuple(i for i in range(n + 1) if mask >> i & 1)
+        nodes = [rs.affine_root if i == 0 else rs.simple_roots[i - 1] for i in subset]
+        want = []
+        for root in roots:
+            x = _solve(nodes, root)
+            if x is not None and all(c.denominator == 1 and c >= 0 for c in x):
+                want.append(root)
+        assert subsystem_positive_roots(rs, subset) == tuple(sorted(want)), subset
 
 
 @pytest.mark.parametrize("name,order", [
@@ -422,6 +480,15 @@ def test_full_weights_match_the_oracle_on_the_alcove(name, level):
     rs = build_root_system(name)
     for lam in alcove_weights(rs, level):
         assert full_weights(rs, lam) == _expanded_fraction_weights(rs, lam), lam
+
+
+@pytest.mark.parametrize("name,lam", [("E7", (0, 0, 0, 0, 0, 0, 1)),
+                                      ("E8", (1, 0, 0, 0, 0, 0, 0, 0)),
+                                      ("E8", (0, 0, 0, 0, 0, 0, 0, 1))])
+def test_exceptional_weight_systems_have_the_weyl_dimension(name, lam):
+    # 56, 3875 and 248: weight systems beyond FREUDENTHAL_TYPES
+    rs = build_root_system(name)
+    assert sum(full_weights(rs, lam).values()) == weyl_dimension(rs, lam)
 
 
 def test_full_weights_rejects_a_bad_highest_weight(g2):

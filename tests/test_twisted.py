@@ -494,6 +494,38 @@ def test_find_module_basis_rejects_bad_bounds(g2):
         find_module_basis(g2, (0, 2), 0, lambda_bound=-1)
 
 
+SO4_ODD_LABELS = ((0, 0), (1, 0), (1, -1))
+BOUND_ENTRY_POINTS = {
+    "d_squared_check": lambda g2, **b: resolution.d_squared_check(g2, 1, **b),
+    "cokernel_vs_oracle": lambda g2, **b: resolution.cokernel_vs_oracle(g2, 1, **b),
+    "find_module_basis": lambda g2, **b: find_module_basis(g2, (0, 2), 1, **b),
+    "verify_module_basis": lambda g2, **b: verify_module_basis(g2, (0, 1), 1, SO4_ODD_LABELS,
+                                                               **b),
+    "extract_presentation": lambda g2, **b: resolution.extract_presentation(g2, 1, **b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_ENTRY_POINTS))
+def test_explicit_bounds_must_be_integers(g2, name):
+    # a float level_bound raised a bare TypeError in the complex checks and
+    # a float lambda_bound was reported as a bad level; each now names its bound
+    call = BOUND_ENTRY_POINTS[name]
+    for bound in (6.5, 7.0):
+        with pytest.raises(InputError, match=rf"level_bound {bound} is not an integer"):
+            call(g2, level_bound=bound)
+        if name not in ("d_squared_check", "cokernel_vs_oracle"):
+            with pytest.raises(InputError, match=rf"lambda_bound {bound + 3} is not an integer"):
+                call(g2, lambda_bound=bound + 3)
+
+
+def test_an_integer_like_bound_is_reported_as_its_int(g2):
+    # the report held the bound as given, so the JSON said "level_bound": true
+    report = verify_module_basis(g2, (0, 1), 1, SO4_ODD_LABELS, level_bound=True)
+    assert report.passed
+    assert type(report.level_bound) is int and report.level_bound == 1
+    assert '"level_bound": 1,' in json.dumps(report.to_json_dict())
+
+
 def test_find_module_basis_takes_its_default_bound_explicitly(a1, g2):
     # on a face through the affine node the default level_bound is
     # k0 + 2 h^vee at the base level k0 = k mod twist order, below k
