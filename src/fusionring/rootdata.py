@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import factorial, lcm
 from operator import add, index, mul, sub
 
-from .errors import InputError
+from .errors import InputError, _integer
 
 Weight = tuple  # integer tuple in Dynkin coordinates
 
@@ -274,10 +274,7 @@ def _check_weight(rs: RootSystem, w):
 
 def _check_level(k):
     """The level as an int: an InputError unless it is a nonnegative integer."""
-    try:
-        k = index(k)
-    except TypeError:
-        raise InputError(f"level {k!r} is not an integer") from None
+    k = _integer(k, "level")
     if k < 0:
         raise InputError("level must be nonnegative")
     return k

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd, prod
-from operator import add, index, mul, sub
+from operator import add, mul, sub
 
-from .errors import InputError, InternalLimitError
+from .errors import InputError, InternalLimitError, _integer
 from .intlinalg import ZEchelon
 from .rootdata import (RootSystem, _check_level, _check_weight, _integer_form,
                        _lattice_points, _node_pairings, _node_root, alcove_weights,
@@ -139,25 +139,15 @@ def _bounds(rs, k, level_bound=None, lambda_bound=None):
     level_bound + h^vee + k, k the base level when a search calls.  Returns
     (k, level_bound, lambda_bound) as ints."""
     k = _check_level(k)
-    level_bound, lambda_bound = (_integral(level_bound, "level_bound"),
-                                 _integral(lambda_bound, "lambda_bound"))
-    if level_bound is None:
-        level_bound = k + 2 * rs.dual_coxeter
-    elif level_bound < k:
+    level_bound = (k + 2 * rs.dual_coxeter if level_bound is None
+                   else _integer(level_bound, "level_bound"))
+    if level_bound < k:
         raise InputError("level_bound must be at least the level")
-    if lambda_bound is None:
-        lambda_bound = level_bound + rs.dual_coxeter + k
-    elif lambda_bound < 0:
+    lambda_bound = (level_bound + rs.dual_coxeter + k if lambda_bound is None
+                    else _integer(lambda_bound, "lambda_bound"))
+    if lambda_bound < 0:
         raise InputError("lambda_bound must be nonnegative")
     return k, level_bound, lambda_bound
-
-
-def _integral(bound, name):
-    """An explicit bound as an int (None stays None), else an InputError."""
-    try:
-        return None if bound is None else index(bound)
-    except TypeError:
-        raise InputError(f"{name} {bound!r} is not an integer") from None
 
 
 def enumerate_labels(rs: RootSystem, subset, k: int, bound: int) -> list:
