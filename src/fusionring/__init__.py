@@ -10,7 +10,7 @@ from .errors import InputError, InternalLimitError
 from .fusion import (FusionElement, fold, fusion_product, fusion_table, in_fusion_ideal,
                      verlinde_numeric_check)
 from .groebner import FieldPoly, buchberger, normal_form, quotient_codimension
-from .repring import PolyChar, VirtualCharacter, tensor_product, to_polynomial
+from .repring import VirtualCharacter, tensor_product, to_polynomial
 from .resolution import (ComplexSpec, DEFAULT_PRIMES, PresentationReport,
                          build_complex, cokernel_vs_oracle, d_squared_check,
                          extract_presentation, g2_fusion_ideal_generators,

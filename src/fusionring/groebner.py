@@ -102,9 +102,13 @@ class FieldPoly:
         return poly
 
     def _coerce(self, c):
-        if self.modulus is None:
-            return Fraction(c)
-        return int(c) % self.modulus
+        """c in the field: over Q an int or a Fraction, over F_p an int or an
+        integral Fraction; anything else raises InputError."""
+        if not (isinstance(c, int) or isinstance(c, Fraction)
+                and (self.modulus is None or c.denominator == 1)):
+            field = "an int or a Fraction" if self.modulus is None else "an integer"
+            raise InputError(f"coefficient {c!r} is not {field}")
+        return Fraction(c) if self.modulus is None else c.numerator % self.modulus
 
     def is_zero(self):
         return not self.terms

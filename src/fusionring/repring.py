@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .groebner import FieldPoly
 from .rootdata import RootSystem, _check_weight, full_weights, rho_walk
 from .sparse import Sparse, addmul
 
@@ -29,14 +30,6 @@ class VirtualCharacter(Sparse):
     @classmethod
     def irrep(cls, weight):
         return cls({tuple(weight): 1})
-
-
-class PolyChar(Sparse):
-    """Integer polynomial in the fundamental characters x_1 ... x_n."""
-
-    __slots__ = ()
-    _key = "exponents"
-    _negative = "exponent vector {} has a negative entry"
 
 
 def fewer_weights_first(rs: RootSystem):
@@ -77,8 +70,11 @@ def _monomial(rs, exponents):
     return VirtualCharacter(out)
 
 
-def to_polynomial(rs: RootSystem, x: VirtualCharacter) -> PolyChar:
-    """Express a virtual character as a polynomial in the fundamental characters."""
+def to_polynomial(rs: RootSystem, x: VirtualCharacter) -> FieldPoly:
+    """Express a virtual character as a polynomial over Q in the fundamental
+    characters.  The order of elimination is not a linear extension of
+    dominance (on A3, alpha_2 has level 0), so a monomial may be eliminated
+    more than once and its coefficients are summed."""
     rem = dict(x.terms)
     out = {}
     while rem:
@@ -86,4 +82,4 @@ def to_polynomial(rs: RootSystem, x: VirtualCharacter) -> PolyChar:
         c = rem[w]
         addmul(out, {w: c})
         addmul(rem, monomial_character(rs, w).terms, -c)
-    return PolyChar(out)
+    return FieldPoly(rs.rank, out)

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import InputError
 from .fusion import _fold_kernel, in_fusion_ideal
-from .groebner import FieldPoly, check_primes, prime_codimensions, quotient_codimension
+from .groebner import check_primes, prime_codimensions, quotient_codimension
 from .repring import VirtualCharacter, to_polynomial
 from .rootdata import RootSystem, _WalkTable, _check_level, alcove_weights, rho_walk
 from .sparse import Report, addmul
@@ -352,7 +352,7 @@ def verify_presentation(rs: RootSystem, k: int, gens,
     alcove_count = len(alcove_weights(rs, k))
     codim_q, codim_fp = None, {}
     if all(membership):
-        polys = [FieldPoly(rs.rank, to_polynomial(rs, g).terms) for g in gens]
+        polys = [to_polynomial(rs, g) for g in gens]
         codim_q, codim_fp = quotient_codimension(polys), prime_codimensions(polys, primes)
     passed = all(membership) and {codim_q, *codim_fp.values()} == {alcove_count}
     return PresentationReport(group=str(rs.lie_type), level=k, generators=gens,

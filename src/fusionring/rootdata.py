@@ -117,22 +117,6 @@ def connected_type(rank: int, roots: int, shorts: int) -> tuple:
                          f"roots and {shorts} short simple roots")
 
 
-def _mat_inverse(a):
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
 @dataclass(frozen=True, eq=False)
 class RootSystem:
     """Complete Cartan, Weyl and alcove data for one simple type.
@@ -218,21 +202,26 @@ def _build(series: str, rank: int) -> RootSystem:
     t = LieType(series, rank)
     n = rank
     cartan = _cartan_matrix(series, n)
-    cartan_inv = _mat_inverse(cartan)
     d = _symmetrizer(cartan)
-    # form on fundamental weights: F = A^{-1} diag(d)
-    form = tuple(tuple(cartan_inv[i][j] * d[j] for j in range(n)) for i in range(n))
     # in Dynkin coordinates a weight is its own list of simple-coroot pairings
     pos_w, pos_c = zip(*_positive_system(cartan, lambda beta: beta))
     theta, theta_c = pos_w[-1], pos_c[-1]   # the one root of greatest height
-    if sum(theta[i] * form[i][j] * theta[j] for i in range(n) for j in range(n)) != 2:
-        raise AssertionError("highest-root normalization failed")
     marks = (1,) + tuple(theta_c)
     comarks = [Fraction(1)] + [m * d[i] for i, m in enumerate(theta_c)]
     if any(c.denominator != 1 for c in comarks):
         raise AssertionError("comarks must be integers")
     comarks = tuple(int(c) for c in comarks)
     hvee = sum(comarks)
+    # form on fundamental weights: sum_{alpha > 0} (lam, alpha)(mu, alpha)
+    # = hvee (lam, mu) and (omega_i, alpha) = c_i(alpha) d_i, summed in
+    # integers with d scaled by den, the lcm of its denominators; the norm
+    # of theta cross-checks the identity
+    den = lcm(*(x.denominator for x in d))
+    cols = [[c * int(x * den) for c in col] for col, x in zip(zip(*pos_c), d)]
+    form = tuple(tuple(Fraction(sum(map(mul, ci, cj)), hvee * den * den) for cj in cols)
+                 for ci in cols)
+    if sum(theta[i] * form[i][j] * theta[j] for i in range(n) for j in range(n)) != 2:
+        raise AssertionError("highest-root normalization failed")
     return RootSystem(
         lie_type=t,
         simple_roots=tuple(tuple(row) for row in cartan),

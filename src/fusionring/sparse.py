@@ -30,16 +30,15 @@ def addmul(target: dict, source: dict, factor: int = 1) -> dict:
 class Sparse:
     """Immutable {integer tuple: nonzero int} map in one space.
 
-    A subclass declares its space (``_fields``, the names of the attributes
-    that tag it, set before ``Sparse.__init__`` runs), the JSON name of a
-    key (``_key``), the message for adding across spaces (``_mismatch``)
-    and, when keys must be nonnegative, the message rejecting one
-    (``_negative``, formatted with the key).
+    Keys are weights.  A subclass declares its space (``_fields``, the names
+    of the attributes that tag it, set before ``Sparse.__init__`` runs), the
+    message for adding across spaces (``_mismatch``) and, when keys must be
+    nonnegative, the message rejecting one (``_negative``, formatted with
+    the key).
     """
 
     __slots__ = ("terms",)
     _fields = ()
-    _key = "weight"
     _mismatch = "cannot add elements of different spaces"
     _negative = None
 
@@ -99,7 +98,7 @@ class Sparse:
 
     def to_json_dict(self):
         out = {f: to_json(v) for f, v in zip(self._fields, self._space())}
-        out["terms"] = [{self._key: list(w), "coeff": c}
+        out["terms"] = [{"weight": list(w), "coeff": c}
                         for w, c in sorted(self.terms.items())]
         return out
 

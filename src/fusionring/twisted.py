@@ -28,7 +28,7 @@ from .sparse import Report
 
 def face_subset(rs: RootSystem, nodes) -> tuple:
     """Validate and canonicalize a subset of the affine Dynkin nodes."""
-    nodes = tuple(sorted(set(nodes)))
+    nodes = tuple(sorted({_integer(x, "node") for x in nodes}))
     for x in nodes:
         if not 0 <= x <= rs.rank:
             raise InputError(f"node {x} outside 0..{rs.rank}")

@@ -249,10 +249,12 @@ def dim_virtual(rs, x: VirtualCharacter) -> int:
 
 
 def from_polynomial(rs, p) -> VirtualCharacter:
-    """Evaluate a polynomial with x_i sent to the i-th fundamental character."""
+    """Evaluate a FieldPoly over Q with integer coefficients, x_i sent to
+    the i-th fundamental character."""
     out = {}
     for e, c in p.terms.items():
-        addmul(out, monomial_character(rs, e).terms, c)
+        assert c.denominator == 1, c
+        addmul(out, monomial_character(rs, e).terms, c.numerator)
     return VirtualCharacter(out)
 
 

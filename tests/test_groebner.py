@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -181,6 +182,22 @@ def test_negative_exponents_rejected():
     # nor is x^1.5; read as one it gave an infinite codimension
     with pytest.raises(InputError, match=r"\(1\.5, 0\)"):
         FieldPoly(2, {(1.5, 0): 1, (0, 2): 1})
+
+
+def test_coefficients_must_lie_in_the_field():
+    # over F_p a float was truncated (1.5 gave x), a half gave the zero
+    # polynomial and a string was read as the integer it spells; over Q a
+    # float or a string was read through Fraction.  Each now raises
+    from fusionring import InputError
+    for modulus, bad in [(5, 1.5), (5, Fraction(1, 2)), (5, "3"), (None, 1.5), (None, "3")]:
+        with pytest.raises(InputError, match=re.escape(f"coefficient {bad!r} is not")):
+            FieldPoly(1, {(1,): bad}, modulus)
+    # an integral Fraction is an integer, as the certificates' polynomials
+    # over Q give their terms to the prime fields
+    assert FieldPoly(1, {(1,): Fraction(12, 2), (0,): 7}, 5).terms == {(1,): 1, (0,): 2}
+    q = FieldPoly(1, {(1,): Fraction(1, 2), (0,): 3})
+    assert q.terms == {(1,): Fraction(1, 2), (0,): 3}
+    assert all(type(c) is Fraction for c in q.terms.values())
 
 
 def test_check_prime():

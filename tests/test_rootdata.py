@@ -109,6 +109,19 @@ def test_form_symmetric_positive_definite(series, rank):
         assert det > 0
 
 
+@pytest.mark.parametrize("series,rank", ALL_SMALL_TYPES + [(s, 9) for s in "ABCD"])
+def test_cartan_times_form_is_the_symmetrizer(series, rank):
+    # the form comes from sums over the positive roots; the rows of the
+    # Cartan matrix are the simple roots, and (alpha_i, omega_j) is d_i
+    # when i = j and 0 otherwise
+    rs = build_root_system(f"{series}{rank}")
+    n = rs.rank
+    product = [[sum(map(mul, rs.simple_roots[i], (row[j] for row in rs.form)))
+                for j in range(n)] for i in range(n)]
+    assert product == [[rs.root_lengths[i] if i == j else 0 for j in range(n)]
+                       for i in range(n)]
+
+
 def _det(m):
     m = [row[:] for row in m]
     n = len(m)

@@ -2,15 +2,15 @@ import json
 
 import pytest
 
-from fusionring import FusionElement, InputError, PolyChar, VirtualCharacter
-from fusionring.sparse import addmul
+import fusionring
+from fusionring import FusionElement, InputError, VirtualCharacter
+from fusionring.sparse import Sparse, addmul
 
 from conftest import TwistedModuleElement
 
 # (class, its space as constructor arguments, another space or None)
 SPACES = [
     (VirtualCharacter, (), None),
-    (PolyChar, (), None),
     (FusionElement, (2,), (3,)),
     (TwistedModuleElement, ((0, 1), 1), ((0, 2), 1)),
 ]
@@ -63,8 +63,8 @@ def test_equality_and_hash(cls, space, other):
 
 
 @pytest.mark.parametrize("cls, space, other, message",
-                         [(*SPACES[2], "different levels"), (*SPACES[3], "different modules")],
-                         ids=IDS[2:])
+                         [(*SPACES[1], "different levels"), (*SPACES[2], "different modules")],
+                         ids=IDS[1:])
 def test_space_mismatch(cls, space, other, message):
     x = cls(*space, {(1, 0): 1})
     z = cls(*other, {(1, 0): 1})
@@ -76,14 +76,12 @@ def test_space_mismatch(cls, space, other, message):
 
 def test_mixed_classes_do_not_add():
     with pytest.raises(TypeError):
-        VirtualCharacter({(1, 0): 1}) + PolyChar({(1, 0): 1})
+        VirtualCharacter({(1, 0): 1}) + FusionElement(2, {(1, 0): 1})
 
 
 def test_negative_keys_rejected():
     with pytest.raises(InputError, match="is not dominant"):
         VirtualCharacter({(-1, 0): 1})
-    with pytest.raises(InputError, match="negative entry"):
-        PolyChar({(0, -2): 1})
     # a zero coefficient is pruned before the check
     assert not VirtualCharacter({(-1, 0): 0})
     # labels and alcove weights may be negative
@@ -93,7 +91,7 @@ def test_negative_keys_rejected():
 
 def _read_back(cls, d):
     """The element whose to_json_dict is d: the JSON form loses nothing."""
-    return cls(*(d[f] for f in cls._fields), {tuple(t[cls._key]): t["coeff"] for t in d["terms"]})
+    return cls(*(d[f] for f in cls._fields), {tuple(t["weight"]): t["coeff"] for t in d["terms"]})
 
 
 @pytest.mark.parametrize("cls, space, other", SPACES, ids=IDS)
@@ -111,12 +109,20 @@ def test_json_layout():
     assert VirtualCharacter(terms).to_json_dict() == key
     assert FusionElement(4, terms).to_json_dict() == {"level": 4, **key}
     assert list(FusionElement(4, terms).to_json_dict()) == ["level", "terms"]
-    assert PolyChar(terms).to_json_dict() == {
-        "terms": [{"exponents": [0, 3], "coeff": -5}, {"exponents": [1, 0], "coeff": 2}]}
     assert TwistedModuleElement((0, 2), 1, terms).to_json_dict() == {
         "subset": [0, 2], "level": 1, **key}
     back = _read_back(FusionElement, {"level": 4, **key})
     assert back.level == 4 and back.terms == terms
+
+
+def test_every_sparse_key_is_a_weight():
+    # polynomials in the fundamental characters are groebner.FieldPoly, so
+    # the package's sparse classes are the two keyed by weights, and the
+    # JSON name of a key is no knob
+    assert not hasattr(Sparse, "_key")
+    package = {cls for cls in Sparse.__subclasses__()
+               if cls.__module__.startswith("fusionring.")}
+    assert package == {fusionring.VirtualCharacter, fusionring.FusionElement}
 
 
 def test_every_report_has_one_json_form():

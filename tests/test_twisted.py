@@ -505,6 +505,27 @@ BOUND_ENTRY_POINTS = {
 }
 
 
+# the twisted entry points that take a face, each called with the face given
+FACE_ENTRY_POINTS = {
+    "face_subset": face_subset,
+    "twist_order": twist_order,
+    "centralizer_info": centralizer_info,
+    "enumerate_labels": lambda g2, face: enumerate_labels(g2, face, 1, 2),
+    "is_valid_label": lambda g2, face: is_valid_label(g2, face, 1, (0, 0)),
+    "find_module_basis": lambda g2, face: find_module_basis(g2, face, 1),
+}
+
+
+@pytest.mark.parametrize("face", [(1.5,), (0, 2.0), ("1",)], ids=["half", "float", "string"])
+@pytest.mark.parametrize("name", sorted(FACE_ENTRY_POINTS))
+def test_face_nodes_must_be_integers(g2, name, face):
+    # a half node gave twist order 1 and a KeyError in centralizer_info, a
+    # float or a string node a bare TypeError; each now names the node
+    bad = next(x for x in face if not isinstance(x, int))
+    with pytest.raises(InputError, match=re.escape(f"node {bad!r} is not an integer")):
+        FACE_ENTRY_POINTS[name](g2, face)
+
+
 @pytest.mark.parametrize("name", sorted(BOUND_ENTRY_POINTS))
 def test_explicit_bounds_must_be_integers(g2, name):
     # a float level_bound raised a bare TypeError in the complex checks and
